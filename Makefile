@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-json bench-compare bench-refresh experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
+.PHONY: install test bench bench-json bench-compare bench-refresh bench-e2e bench-layers experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
 
 # relative slowdown tolerated by the perf gate before it fails.  0.75
 # accommodates CPU-throttled/shared dev machines (observed run-to-run
@@ -27,9 +27,11 @@ bench:
 
 # machine-readable benchmark baseline; BENCH_core.json is committed so
 # perf regressions show up as a diff (CI uploads the fresh run as an
-# artifact for comparison)
+# artifact for comparison).  Only per-benchmark summary stats are kept:
+# the raw run (every sample, ~3 MB) stays in the git-ignored BENCH_raw.json
 bench-json:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_core.json
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_raw.json
+	$(PYTHON) benchmarks/compare.py summarize BENCH_raw.json BENCH_core.json
 
 # the perf-regression gate: fresh run vs the committed baseline, plus the
 # hard floor on the compacted numpy AGDP backend's speedup over dict at
@@ -46,15 +48,21 @@ bench-compare:
 			"test_delegation_reply_throughput" 3.0 \
 		--assert-speedup "test_sync_encode_decode[binary]" \
 			"test_sync_encode_decode[json]" 3.0 \
-		--assert-improved-vs benchmarks/BENCH_pre_wire_baseline.json \
-			"test_line_gossip_run[12]" 2.0 \
-		--assert-improved-vs benchmarks/BENCH_pre_wire_baseline.json \
-			"test_ntp_hierarchy_run[shape1]" 2.0
+		--assert-improved-vs-frozen "test_line_gossip_run[12]" 2.0 \
+		--assert-improved-vs-frozen "test_ntp_hierarchy_run[shape1]" 2.0
 
 # rebless the committed baseline after an intentional perf change
-# (bench-json with intent: review the diff of BENCH_core.json)
-bench-refresh:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_core.json
+# (bench-json with intent: review the diff of BENCH_core.json; its
+# "frozen" section of historical means is carried over untouched)
+bench-refresh: bench-json
+
+# the layered end-to-end benchmark (bench/README.md): every workload's
+# end-to-end metrics, and the traced per-layer ledger
+bench-e2e:
+	$(PYTHON) -m bench run
+
+bench-layers:
+	$(PYTHON) -m bench trace
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli
@@ -150,7 +158,7 @@ serve-smoke:
 
 clean:
 	rm -rf .pytest_cache .hypothesis src/repro.egg-info
-	rm -f BENCH_fresh.json BENCH_compare.md
+	rm -f BENCH_fresh.json BENCH_raw.json BENCH_compare.md
 	rm -f serve_load_run.json serve_smoke_run.json strata_smoke_run.json
 	rm -f wire_smoke_run.json rt_loopback_run.json rt_udp_run.json
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -11,6 +11,13 @@ Stdlib only (CI installs nothing for it).  Usage::
     python benchmarks/compare.py BENCH_core.json BENCH_fresh.json \
         [--tolerance 0.25] [--report compare_report.md] \
         [--assert-speedup FAST SLOW MIN_RATIO]...
+    python benchmarks/compare.py summarize BENCH_raw.json BENCH_core.json
+
+* the committed baseline is a *summary*: per benchmark only
+  ``mean/median/stddev/min/max/rounds`` (pytest-benchmark's raw JSON
+  carries every sample - 3 MB and a 150k-line diff per rebless).
+  ``summarize`` writes it from a raw run, carrying over the target's
+  ``frozen`` section; either format is accepted wherever a file is read.
 
 * tolerance is relative: ``--tolerance 0.25`` fails a benchmark whose
   mean grew more than 25% over baseline.  The ``BENCH_TOLERANCE``
@@ -24,11 +31,12 @@ Stdlib only (CI installs nothing for it).  Usage::
   run* - machine-independent, used to pin the compacted numpy AGDP
   backend's required speedup over the dict backend and the binary wire
   codec's speedup over JSON.
-* ``--assert-improved-vs FILE NAME MIN_RATIO`` (repeatable) requires
-  ``mean(NAME in FILE) / mean(NAME fresh) >= MIN_RATIO`` - a floor
-  against a *frozen* historical baseline, used to pin the batched
-  engine + binary wire speedups against the pre-optimization numbers
-  even after ``bench-refresh`` reblesses ``BENCH_core.json``.
+* ``--assert-improved-vs-frozen NAME MIN_RATIO`` (repeatable) requires
+  ``mean(NAME frozen) / mean(NAME fresh) >= MIN_RATIO`` - a floor
+  against the baseline's ``frozen`` section (historical means that
+  ``summarize`` never overwrites), used to pin the batched engine +
+  binary wire speedups against the pre-optimization numbers even after
+  ``bench-refresh`` reblesses ``BENCH_core.json``.
 * ``--report PATH`` writes the comparison table as markdown (uploaded as
   a CI artifact).
 """
@@ -42,17 +50,67 @@ import sys
 from typing import Dict, List
 
 
-def load_means(path: str) -> Dict[str, float]:
-    """Benchmark name -> mean seconds from a pytest-benchmark JSON file."""
+SUMMARY_FORMAT = "repro-bench-summary/1"
+SUMMARY_STATS = ("mean", "median", "stddev", "min", "max", "rounds")
+
+
+def _load(path: str) -> dict:
     with open(path) as fh:
         data = json.load(fh)
-    benchmarks = data.get("benchmarks")
-    if not isinstance(benchmarks, list):
-        raise SystemExit(f"{path}: not a pytest-benchmark JSON file (no 'benchmarks')")
-    means = {}
-    for bench in benchmarks:
-        means[bench["name"]] = float(bench["stats"]["mean"])
-    return means
+    if not isinstance(data.get("benchmarks"), (list, dict)):
+        raise SystemExit(f"{path}: not a benchmark JSON file (no 'benchmarks')")
+    return data
+
+
+def _stats_by_name(benchmarks) -> Dict[str, dict]:
+    """Summary form (name -> stats) of either format's ``benchmarks``."""
+    if isinstance(benchmarks, dict):
+        return benchmarks
+    return {bench["name"]: bench["stats"] for bench in benchmarks}
+
+
+def load_means(path: str, section: str | None = None) -> Dict[str, float]:
+    """Benchmark name -> mean seconds from a raw or summary JSON file.
+
+    ``section="frozen"`` reads the summary's frozen historical means
+    instead (empty for files without one).
+    """
+    data = _load(path)
+    if section is not None:
+        data = data.get(section, {"benchmarks": {}})
+    return {
+        name: float(stats["mean"])
+        for name, stats in _stats_by_name(data["benchmarks"]).items()
+    }
+
+
+def summarize(raw_path: str, out_path: str) -> int:
+    """Write the committed summary form of a raw pytest-benchmark run."""
+    raw = _load(raw_path)
+    machine = raw.get("machine_info", {})
+    summary = {
+        "format": SUMMARY_FORMAT,
+        "datetime": raw.get("datetime"),
+        "commit": raw.get("commit_info", {}).get("id"),
+        "machine": {
+            "cpu": machine.get("cpu", {}).get("brand_raw"),
+            "python": machine.get("python_version"),
+            "system": machine.get("system"),
+        },
+        "benchmarks": {
+            name: {key: stats[key] for key in SUMMARY_STATS}
+            for name, stats in sorted(_stats_by_name(raw["benchmarks"]).items())
+        },
+    }
+    if os.path.exists(out_path):
+        frozen = _load(out_path).get("frozen")
+        if frozen:
+            summary["frozen"] = frozen
+    with open(out_path, "w") as fh:
+        json.dump(summary, fh, indent=1)
+        fh.write("\n")
+    print(f"{out_path}: {len(summary['benchmarks'])} benchmark summaries")
+    return 0
 
 
 def format_seconds(value: float) -> str:
@@ -64,6 +122,11 @@ def format_seconds(value: float) -> str:
 
 
 def main(argv: List[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["summarize"]:
+        if len(argv) != 3:
+            raise SystemExit("usage: compare.py summarize RAW.json OUT.json")
+        return summarize(argv[1], argv[2])
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="committed baseline JSON (BENCH_core.json)")
     parser.add_argument("fresh", help="freshly generated benchmark JSON")
@@ -86,12 +149,13 @@ def main(argv: List[str] | None = None) -> int:
         help="require mean(SLOW)/mean(FAST) >= MIN_RATIO in the fresh run",
     )
     parser.add_argument(
-        "--assert-improved-vs",
-        nargs=3,
+        "--assert-improved-vs-frozen",
+        nargs=2,
         action="append",
         default=[],
-        metavar=("FILE", "NAME", "MIN_RATIO"),
-        help="require mean(NAME in FILE)/mean(NAME in fresh) >= MIN_RATIO",
+        metavar=("NAME", "MIN_RATIO"),
+        help="require mean(NAME in the baseline's frozen section)"
+        "/mean(NAME in fresh) >= MIN_RATIO",
     )
     args = parser.parse_args(argv)
     if args.tolerance < 0:
@@ -143,20 +207,19 @@ def main(argv: List[str] | None = None) -> int:
         speedups.append((fast, slow, required, actual, ok))
 
     improvements = []  # (label, required, actual, ok)
-    frozen_cache: Dict[str, Dict[str, float]] = {}
-    for path, name, min_ratio in args.assert_improved_vs:
+    frozen = load_means(args.baseline, "frozen")
+    for name, min_ratio in args.assert_improved_vs_frozen:
         required = float(min_ratio)
-        label = f"{name} vs {os.path.basename(path)}"
-        if path not in frozen_cache:
-            frozen_cache[path] = load_means(path)
-        frozen = frozen_cache[path]
-        if name not in frozen:
-            failures.append(f"improvement gate {label}: {name} missing from {path}")
-            improvements.append((label, required, None, False))
-            continue
-        if name not in fresh:
+        label = f"{name} vs frozen"
+        missing = [
+            where
+            for where, means in (("the frozen section", frozen), ("the fresh run", fresh))
+            if name not in means
+        ]
+        if missing:
             failures.append(
-                f"improvement gate {label}: {name} missing from the fresh run"
+                f"improvement gate {label}: {name} missing from "
+                + " and ".join(missing)
             )
             improvements.append((label, required, None, False))
             continue

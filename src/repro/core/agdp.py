@@ -11,15 +11,24 @@ problem:
 
 The solver maintains a *complete* weighted digraph ``G`` over the non-dead
 nodes whose edge weights equal exact distances in the accumulated graph
-(Lemma 3.4).  Edge insertion uses the Ausiello et al. incremental
-all-pairs-shortest-paths update - inserting ``(x, y, w)`` can only shorten
-paths through the new edge, so
+(Lemma 3.4).  The Ausiello et al. incremental all-pairs-shortest-paths
+update inserts edge ``(x, y, w)`` with
 
     ``d'(r, s) = min(d(r, s), d(r, x) + w + d(y, s))``
 
-for every pair ``(r, s)``: ``O(L^2)`` time per edge insertion for ``L``
-live nodes (Lemma 3.5).  Killing a node simply deletes its row and column;
-Lemma 3.4 guarantees no live-live distance is lost.
+for every pair ``(r, s)``: ``O(L^2)`` time per edge for ``L`` live nodes
+(Lemma 3.5) - :meth:`AGDP.insert_edge`.  An input step, though, adds one
+node ``p`` whose edges are *all* incident to it, so :meth:`AGDP.step`
+inserts per node, not per edge: ``d(., p)`` and ``d(p, .)`` are min-plus
+products of the old matrix with ``p``'s in- and out-edges (``O(L * deg)``)
+and the old pairs close through ``p`` once,
+
+    ``d'(r, s) = min(d(r, s), d(r, p) + d(p, s))``,
+
+``O(L^2)`` per *step*.  Each edge is tested for closing a negative cycle
+before anything is written, so a caller may collect the inconsistent ones
+and keep the rest (degraded mode).  Killing a node simply deletes its row
+and column; Lemma 3.4 guarantees no live-live distance is lost.
 
 For the garbage-collection ablation (experiment A1) the solver can be run
 with ``gc_enabled=False``: dead nodes are then retained, which preserves
@@ -49,8 +58,9 @@ class AGDPStats:
     nodes_added: int = 0
     nodes_killed: int = 0
     edges_inserted: int = 0
-    #: total pair-relaxation candidates examined across all edge insertions
-    #: (pairs with finite ``d(r, x)`` and ``d(y, s)``); every backend counts
+    #: total pair-relaxation candidates examined: per closure, the pairs
+    #: with finite ``col[r]`` and ``row[s]`` - once per node on the ``step``
+    #: path, once per edge through ``insert_edge``; every backend counts
     #: this same quantity, so complexity plots are backend-independent
     pair_updates: int = 0
     #: largest node-set size ever held (live + in-flight insertions)
@@ -59,6 +69,36 @@ class AGDPStats:
     def matrix_cells(self) -> int:
         """Peak memory proxy: cells of the largest distance matrix held."""
         return self.max_nodes * self.max_nodes
+
+
+def negative_cycle_error(x, y, weight, back) -> InconsistentSpecificationError:
+    return InconsistentSpecificationError(
+        f"inserting ({x!r} -> {y!r}, {weight}) closes a negative cycle "
+        f"(d({y!r}, {x!r}) = {back})",
+        edge=(x, y, weight),
+    )
+
+
+def negative_self_loop_error(x, weight) -> InconsistentSpecificationError:
+    return InconsistentSpecificationError(
+        f"negative self-loop at {x!r}", edge=(x, x, weight)
+    )
+
+
+def not_incident_error(node, x, y) -> ValueError:
+    return ValueError(
+        f"AGDP step for {node!r} may only insert incident edges, got ({x!r}, {y!r})"
+    )
+
+
+def refuse(
+    refused: Optional[List[InconsistentSpecificationError]],
+    error: InconsistentSpecificationError,
+) -> None:
+    """Collect an inconsistent edge (quarantining callers) or raise it."""
+    if refused is None:
+        raise error
+    refused.append(error)
 
 
 class AGDP:
@@ -155,40 +195,43 @@ class AGDP:
             return  # a TOP bound carries no information
         if x == y:
             if weight < 0:
-                raise InconsistentSpecificationError(
-                    f"negative self-loop at {x!r}"
-                )
+                raise negative_self_loop_error(x, weight)
             return
         self.stats.edges_inserted += 1
         back = self._dist[y][x]
         if back + weight < -1e-9:
-            raise InconsistentSpecificationError(
-                f"inserting ({x!r} -> {y!r}, {weight}) closes a negative cycle "
-                f"(d({y!r}, {x!r}) = {back})",
-                edge=(x, y, weight),
-            )
+            raise negative_cycle_error(x, y, weight, back)
         if weight >= self._dist[x][y]:
             return  # no path improves
         # Ausiello et al. update: any strictly shorter path uses the new edge
         # exactly once (no negative cycles), so it decomposes r ~> x -> y ~> s.
-        # Stored distances are finite or +inf (never NaN/-inf), so the
-        # comparisons below are equivalent to math.isinf checks; rows are
-        # paired with d(r, x) directly to keep the inner loop free of
-        # lookups into the outer matrix.
-        to_x = [(row, d_rx) for row in self._dist.values() if (d_rx := row[x]) != INF]
-        from_y = [(s, d) for s, d in self._dist[y].items() if d != INF]
-        # finite relaxation candidates - the backend-independent cost unit
-        # (the numpy backend charges the identical quantity); hoisted out of
-        # the inner loop so counting costs O(1) per insertion
-        self.stats.pair_updates += len(to_x) * len(from_y)
-        for row, d_rx in to_x:
-            base = d_rx + weight
-            for s, d_ys in from_y:
-                candidate = base + d_ys
-                if candidate < row[s]:
-                    row[s] = candidate
+        # Stored distances are finite or +inf (never NaN/-inf), so ``!= INF``
+        # is the finiteness test.
+        col = {r: d + weight for r, row in self._dist.items() if (d := row[x]) != INF}
+        row = {s: d for s, d in self._dist[y].items() if d != INF}
+        self._close(col, row)
         if self.invariant_hook is not None:
             self.invariant_hook(self)
+
+    def _close(self, col: Dict[NodeKey, float], row: Dict[NodeKey, float]) -> None:
+        """``d(r, s) = min(d(r, s), col[r] + row[s])`` over the finite entries.
+
+        The one closure routine: :meth:`step` calls it once per node with
+        the new node's distance column/row, :meth:`insert_edge` once per
+        edge with ``d(., x) + w`` and ``d(y, .)``.  ``pair_updates`` is
+        charged here as the number of finite relaxation candidates - the
+        backend-independent cost unit (the numpy backend charges the
+        identical quantity and sums in the identical order).
+        """
+        self.stats.pair_updates += len(col) * len(row)
+        dist = self._dist
+        candidates = list(row.items())
+        for r, d_r in col.items():
+            out = dist[r]
+            for s, d_s in candidates:
+                candidate = d_r + d_s
+                if candidate < out[s]:
+                    out[s] = candidate
 
     def kill(self, node: NodeKey) -> None:
         """Unmark ``node`` as live; with gc enabled, drop its row and column."""
@@ -211,19 +254,76 @@ class AGDP:
         node: NodeKey,
         edges: Iterable[Tuple[NodeKey, NodeKey, float]],
         kills: Iterable[NodeKey] = (),
+        refused: Optional[List[InconsistentSpecificationError]] = None,
     ) -> None:
         """One AGDP input step: add ``node``, insert ``edges``, kill ``kills``.
 
         Every edge must have ``node`` as one endpoint (the AGDP contract:
-        new edges connect live nodes to the new node).
+        new edges connect live nodes to the new node), which is what makes
+        the step cost one closure instead of one per edge: ``node`` starts
+        with no edges, so a shortest path ends (starts) at it through
+        exactly one in-edge (out-edge) and is otherwise a path of the old
+        graph.  Its distance column ``d(., node)`` and row ``d(node, .)``
+        are therefore min-plus products of the *old* matrix with the in-
+        and out-edges - ``O(L)`` per edge - and the old pairs close through
+        it once, ``d(r, s) = min(d(r, s), d(r, node) + d(node, s))``:
+        ``O(L^2)`` per step (Lemma 3.5).
+
+        Each edge is tested for closing a negative cycle against the
+        row/column built from the edges accepted before it, and nothing is
+        written until every edge has been tested.  An inconsistent edge
+        raises :class:`InconsistentSpecificationError` - or, when the
+        caller passes a ``refused`` list, is appended to it (the error,
+        carrying ``edge``) and skipped, so a quarantining caller keeps the
+        rest of the step.  The edges accepted before a raise are applied,
+        exactly as if they had been inserted one by one.
         """
         self.add_node(node)
-        for x, y, w in edges:
-            if node not in (x, y):
-                raise ValueError(
-                    f"AGDP step for {node!r} may only insert incident edges, got ({x!r}, {y!r})"
-                )
-            self.insert_edge(x, y, w)
+        dist = self._dist
+        col: Dict[NodeKey, float] = {}  # finite d(r, node) over the old nodes
+        row: Dict[NodeKey, float] = {}  # finite d(node, s) over the old nodes
+        try:
+            for x, y, w in edges:
+                if node not in (x, y):
+                    raise not_incident_error(node, x, y)
+                if x not in dist or y not in dist:
+                    raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
+                if math.isnan(w):
+                    raise ValueError("edge weight must not be NaN")
+                if math.isinf(w):
+                    continue  # a TOP bound carries no information
+                if x == y:
+                    if w < 0:
+                        refuse(refused, negative_self_loop_error(x, w))
+                    continue
+                self.stats.edges_inserted += 1
+                # the only paths between node and its peer so far are the
+                # row/column built from the edges accepted before this one
+                if x == node:
+                    back = col.get(y, INF)
+                    if back + w < -1e-9:
+                        refuse(refused, negative_cycle_error(x, y, w, back))
+                        continue
+                    for s, d in dist[y].items():
+                        if d != INF and d + w < row.get(s, INF):
+                            row[s] = d + w
+                else:
+                    back = row.get(x, INF)
+                    if back + w < -1e-9:
+                        refuse(refused, negative_cycle_error(x, y, w, back))
+                        continue
+                    for r, out in dist.items():
+                        d = out[x]
+                        if d != INF and d + w < col.get(r, INF):
+                            col[r] = d + w
+        finally:
+            dist[node].update(row)
+            for r, d in col.items():
+                dist[r][node] = d
+            if col and row:
+                self._close(col, row)
+            if self.invariant_hook is not None:
+                self.invariant_hook(self)
         for victim in kills:
             self.kill(victim)
 

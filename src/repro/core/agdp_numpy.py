@@ -1,30 +1,33 @@
 """A vectorised AGDP backend (numpy dense matrix, compacted slots).
 
 Drop-in alternative to :class:`repro.core.agdp.AGDP` with the same
-observable behaviour, for large live-sets: the Ausiello pairwise update
+algorithm and observable behaviour: an input step inserts its new node
+``p`` *node-wise* - the distance column ``d(., p)`` and row ``d(p, .)``
+are one vector ``add`` + ``minimum`` per incident edge against the old
+block, and the old pairs close through ``p`` with
 
-    ``d'(r, s) = min(d(r, s), d(r, x) + w + d(y, s))``
+    ``d'(r, s) = min(d(r, s), d(r, p) + d(p, s))``
 
-is one outer-sum + elementwise-min over the active block of a dense
-``float64`` matrix, instead of a Python double loop.
+as a single outer-sum + elementwise-min over a dense ``float64`` matrix:
+``O(L^2)`` per step, not per edge.
 
 **Compacted-slot invariant.**  The present nodes always occupy the
 contiguous slot prefix ``[0, n)`` of the matrix, so the active block is
 the plain view ``matrix[:n, :n]`` - no sorted slot list, no fancy-indexed
 block copies.  :meth:`kill` vacates a slot by swapping the last occupied
 row/column into it (two row/column copies, O(n)) and shrinking the
-prefix; :meth:`add_node` appends at slot ``n`` (amortised O(n) with
-capacity doubling).  The Ausiello update then runs as an in-place
-``np.minimum`` against an outer sum of two *views* of the active block -
-the only per-edge allocation is the candidate matrix itself.
+prefix; a new node appends at slot ``n`` (amortised O(n) with capacity
+doubling).  The closure then runs as an in-place ``np.minimum`` against
+an outer sum written into a preallocated scratch block.
 
-``pair_updates`` counts exactly what the dict backend counts: finite
-``d(r, x)`` rows times finite ``d(y, s)`` columns (the real relaxation
-candidates), so complexity plots are backend-independent.
+``pair_updates`` counts exactly what the dict backend counts - the finite
+relaxation candidates ``finite(col) * finite(row)`` of each closure,
+charged once per node - so complexity plots are backend-independent, and
+floats are summed in the same order, so distances are bit-identical.
 
 **Source-only mode** (``source_only=True``): for consumers that only ever
 read distances to/from one *anchor* node (the estimator's current source
-representative), the dense matrix is overkill - ``O(L^2)`` work per edge
+representative), the dense matrix is overkill - ``O(L^2)`` work per step
 to maintain rows nobody reads.  In this mode the solver keeps just the
 anchor's distance row ``d(anchor, .)`` and column ``d(., anchor)``,
 updated *exactly* by label-correcting relaxation over the retained
@@ -45,9 +48,10 @@ instead of O(L^2).  The trade-offs, documented in docs/PERFORMANCE.md:
 The contract (and the Lemma 3.4/3.5 semantics) is identical to the dict
 solver; the equivalence is enforced property-based in
 ``tests/core/test_agdp_numpy.py`` and the speed difference measured in
-``benchmarks/bench_e4_agdp.py``.  The previous (uncompacted) backend is
-preserved as :class:`repro.testing.reference.ReferenceNumpyAGDP` for
-differential tests.
+``benchmarks/bench_e4_agdp.py``.  The previous (uncompacted, per-edge)
+backend is preserved as :class:`repro.testing.reference.ReferenceNumpyAGDP`
+- the oracle ``tests/core/test_agdp_nodewise.py`` holds the node-wise
+step to, refusals included.
 """
 
 from __future__ import annotations
@@ -58,7 +62,13 @@ from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .agdp import AGDPStats
+from .agdp import (
+    AGDPStats,
+    negative_cycle_error,
+    negative_self_loop_error,
+    not_incident_error,
+    refuse,
+)
 from .errors import InconsistentSpecificationError
 
 __all__ = ["NumpyAGDP"]
@@ -105,10 +115,9 @@ class NumpyAGDP:
             # cells outside the active prefix are never read before being
             # re-initialised by add_node, so the backing store is empty
             self._matrix = np.empty((self._capacity, self._capacity))
-            #: reusable candidate buffer for the Ausiello outer sum, grown
-            #: with the matrix - keeps the per-edge hot path allocation-free
+            #: reusable candidate buffer for the closure's outer sum, grown
+            #: with the matrix
             self._scratch = np.empty((self._capacity, self._capacity))
-            self._vec = np.empty(self._capacity)
             self._n = 0
             self._slot: Dict[NodeKey, int] = {}
             self._keys: List[NodeKey] = []  # slot index -> node key
@@ -190,7 +199,6 @@ class NumpyAGDP:
         grown[:n, :n] = self._matrix[:n, :n]
         self._matrix = grown
         self._scratch = np.empty((new_capacity, new_capacity))
-        self._vec = np.empty(new_capacity)
         self._capacity = new_capacity
 
     def add_node(self, node: NodeKey) -> None:
@@ -215,6 +223,11 @@ class NumpyAGDP:
         self.stats.max_nodes = max(self.stats.max_nodes, len(self))
 
     def insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
+        """Single-edge primitive (bootstrap snapshots, ablations).
+
+        The per-event hot path is :meth:`step`, which pays one closure per
+        *node*; this pays one per edge.
+        """
         if self._source_only:
             self._so_insert_edge(x, y, weight)
             return
@@ -226,45 +239,39 @@ class NumpyAGDP:
             return
         if x == y:
             if weight < 0:
-                raise InconsistentSpecificationError(f"negative self-loop at {x!r}")
+                raise negative_self_loop_error(x, weight)
             return
+        self.stats.edges_inserted += 1
         n = self._n
-        self._relax_block(self._matrix[:n, :n], x, y, xi, yi, weight)
+        block = self._matrix[:n, :n]
+        back = block[yi, xi]
+        if back + weight < -1e-9:
+            raise negative_cycle_error(x, y, weight, back)
+        if weight >= block[xi, yi]:
+            return
+        # any strictly shorter path is r ~> x -> y ~> s (Ausiello et al.)
+        self._close(block, block[:, xi] + weight, block[yi, :])
         if self.invariant_hook is not None:
             self.invariant_hook(self)
 
-    def _relax_block(self, block, x, y, xi: int, yi: int, weight: float) -> None:
-        """Ausiello update of the active block through edge ``x -> y``.
+    def _close(self, block, col, row) -> None:
+        """``block[r, s] = min(block[r, s], col[r] + row[s])``, in place.
 
-        ``block`` is the in-place ``[:n, :n]`` view; the only allocation is
-        the candidate outer-sum matrix.
+        The one closure routine: :meth:`step` calls it once per node with
+        the new node's distance column/row, :meth:`insert_edge` once per
+        edge with ``d(., x) + w`` and ``d(y, .)``.  ``pair_updates`` is
+        charged here, where the work happens, as the number of finite
+        relaxation candidates (stored distances are finite or +inf, never
+        NaN/-inf, so ``< inf`` is the finiteness test); the dict backend
+        counts the identical quantity and sums in the identical order, so
+        both produce bit-identical floats.
         """
-        self.stats.edges_inserted += 1
-        back = block[yi, xi]
-        if back + weight < -1e-9:
-            raise InconsistentSpecificationError(
-                f"inserting ({x!r} -> {y!r}, {weight}) closes a negative cycle "
-                f"(d({y!r}, {x!r}) = {back})",
-                edge=(x, y, weight),
-            )
-        if weight >= block[xi, yi]:
-            return
-        to_x = block[:, xi]
-        from_y = block[yi, :]
-        # the same quantity the dict backend counts: finite relaxation
-        # candidates, not the full n^2 block (stored distances are finite
-        # or +inf, never NaN/-inf, so ``< inf`` is the finiteness test)
-        self.stats.pair_updates += np.count_nonzero(to_x < np.inf) * np.count_nonzero(
-            from_y < np.inf
+        self.stats.pair_updates += np.count_nonzero(col < np.inf) * np.count_nonzero(
+            row < np.inf
         )
-        # (d(r, x) + w) + d(y, s): association matches the dict backend so
-        # both produce bit-identical floats; the candidate matrix lands in
-        # the preallocated scratch block instead of a fresh allocation
-        n = block.shape[0]
-        shifted = self._vec[:n]
-        np.add(to_x, weight, out=shifted)
-        scratch = self._scratch[:n, :n]
-        np.add.outer(shifted, from_y, out=scratch)
+        m = block.shape[0]
+        scratch = self._scratch[:m, :m]
+        np.add.outer(col, row, out=scratch)
         np.minimum(block, scratch, out=block)
 
     def kill(self, node: NodeKey) -> None:
@@ -303,47 +310,78 @@ class NumpyAGDP:
         node: NodeKey,
         edges: Iterable[Tuple[NodeKey, NodeKey, float]],
         kills: Iterable[NodeKey] = (),
+        refused: Optional[List[InconsistentSpecificationError]] = None,
     ) -> None:
-        """One AGDP input step, batched.
+        """One AGDP input step, inserted node-wise; see :meth:`AGDP.step`.
 
-        In dense mode the slot resolution and active-block view are hoisted
-        out of the per-edge path: all of the event's incident edges relax
-        the same ``[:n, :n]`` view (no node is added or killed between
-        them, so the prefix is stable).
+        ``node`` takes the last slot with no edges yet, so its distance
+        column ``d(., node)`` / row ``d(node, .)`` over the old nodes are
+        min-plus products of the *old* block with its in-/out-edges (one
+        vector ``add`` + ``minimum`` per edge), and the old pairs close
+        through it with a single outer sum.  Nothing is written before
+        every edge has been tested, and what was accepted is written even
+        when a later edge raises.
         """
-        self.add_node(node)
         if self._source_only:
+            self._so_step(node, edges, kills)
+            return
+        slot = self._slot
+        if node in slot:
+            raise ValueError(f"node {node!r} already present")
+        m = self._n
+        if m == self._capacity:
+            self._grow()
+        slot[node] = m
+        self._keys.append(node)
+        self._n = m + 1
+        stats = self.stats
+        stats.nodes_added += 1
+        if m >= stats.max_nodes:
+            stats.max_nodes = m + 1
+        matrix = self._matrix
+        old = matrix[:m, :m]
+        col = row = None  # d(., node) / d(node, .) over the old nodes
+        try:
             for x, y, w in edges:
-                if node not in (x, y):
-                    raise ValueError(
-                        f"AGDP step for {node!r} may only insert incident edges, "
-                        f"got ({x!r}, {y!r})"
-                    )
-                self.insert_edge(x, y, w)
-        else:
-            n = self._n
-            block = self._matrix[:n, :n]
-            for x, y, w in edges:
-                if node not in (x, y):
-                    raise ValueError(
-                        f"AGDP step for {node!r} may only insert incident edges, "
-                        f"got ({x!r}, {y!r})"
-                    )
-                xi = self._slot_of(x)
-                yi = self._slot_of(y)
-                if math.isnan(w):
-                    raise ValueError("edge weight must not be NaN")
-                if math.isinf(w):
-                    continue
-                if x == y:
+                xi = slot.get(x)
+                yi = slot.get(y)
+                if xi != m and yi != m:
+                    raise not_incident_error(node, x, y)
+                if xi is None or yi is None:
+                    raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
+                if not -INF < w < INF:
+                    if w != w:
+                        raise ValueError("edge weight must not be NaN")
+                    continue  # a TOP bound carries no information
+                if xi == yi:
                     if w < 0:
-                        raise InconsistentSpecificationError(
-                            f"negative self-loop at {x!r}"
-                        )
+                        refuse(refused, negative_self_loop_error(x, w))
                     continue
-                self._relax_block(block, x, y, xi, yi, w)
-                if self.invariant_hook is not None:
-                    self.invariant_hook(self)
+                stats.edges_inserted += 1
+                # the only paths between node and its peer so far are the
+                # row/column built from the edges accepted before this one
+                if xi == m:
+                    back = INF if col is None else col[yi]
+                    if back + w < -1e-9:
+                        refuse(refused, negative_cycle_error(x, y, w, back))
+                        continue
+                    reach = old[yi] + w
+                    row = reach if row is None else np.minimum(row, reach, out=row)
+                else:
+                    back = INF if row is None else row[xi]
+                    if back + w < -1e-9:
+                        refuse(refused, negative_cycle_error(x, y, w, back))
+                        continue
+                    reach = old[:, xi] + w
+                    col = reach if col is None else np.minimum(col, reach, out=col)
+        finally:
+            matrix[m, :m] = np.inf if row is None else row
+            matrix[:m, m] = np.inf if col is None else col
+            matrix[m, m] = 0.0
+            if col is not None and row is not None:
+                self._close(old, col, row)
+            if self.invariant_hook is not None:
+                self.invariant_hook(self)
         for victim in kills:
             self.kill(victim)
 
@@ -421,6 +459,17 @@ class NumpyAGDP:
             "arbitrary pairs"
         )
 
+    def _so_step(self, node, edges, kills) -> None:
+        # negative cycles surface only after the adjacency changed, so there
+        # is nothing to refuse before writing: inconsistency always raises
+        self.add_node(node)
+        for x, y, w in edges:
+            if node not in (x, y):
+                raise not_incident_error(node, x, y)
+            self._so_insert_edge(x, y, w)
+        for victim in kills:
+            self.kill(victim)
+
     def _so_insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
         if x not in self._members or y not in self._members:
             raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
@@ -430,7 +479,7 @@ class NumpyAGDP:
             return
         if x == y:
             if weight < 0:
-                raise InconsistentSpecificationError(f"negative self-loop at {x!r}")
+                raise negative_self_loop_error(x, weight)
             return
         self.stats.edges_inserted += 1
         # the one cycle visible without the full matrix: through the anchor

@@ -199,7 +199,7 @@ class EfficientCSA(Estimator):
         if agdp_backend == "numpy-source-only" and (
             degraded_mode or suspicion is not None
         ):
-            # quarantine needs insert_edge to refuse a bad constraint
+            # quarantine needs the solver to refuse a bad constraint
             # *before* mutating; the source-only solver detects negative
             # cycles only during relaxation, after the adjacency changed
             raise ValueError(
@@ -235,7 +235,7 @@ class EfficientCSA(Estimator):
         self.agdp = self._make_agdp()
         self.reliable = reliable
         #: quarantine instead of raising on InconsistentSpecificationError;
-        #: hardened mode needs the per-edge path, so suspicion implies it
+        #: hardened mode blames on quarantines, so suspicion implies it
         self.degraded_mode = degraded_mode or suspicion is not None
         #: structured diagnostics of quarantined constraints (degraded mode)
         self.diagnostics: List[QuarantineDiagnostic] = []
@@ -678,8 +678,8 @@ class EfficientCSA(Estimator):
     def _reported_steps(self, events: List[Event]):
         """Yield ``(node, edges, kills)`` AGDP steps for reported events.
 
-        The edge construction mirrors :meth:`_agdp_insert`'s non-hardened,
-        non-degraded branch exactly; see there for the constraint
+        The edge construction mirrors :meth:`_agdp_insert`'s for a
+        non-excluded event exactly; see there for the constraint
         derivations.  Lazy on purpose: :meth:`AGDP.step_batch` pulls the
         next step only after applying the previous one, so even the state
         left behind by a mid-payload failure matches the scalar loop.
@@ -698,7 +698,7 @@ class EfficientCSA(Estimator):
             pred = live.last_event(event.proc)
             if pred is not None:
                 pred_id, pred_lt = pred
-                if pred_id != eid.pred():
+                if pred_id.seq + 1 != eid.seq:
                     raise ProtocolError(
                         f"{self.proc!r} inserting {eid} after {pred_id} (gap)"
                     )
@@ -744,31 +744,30 @@ class EfficientCSA(Estimator):
         hardened = self.suspicion is not None
         excluded = hardened and self.suspicion.is_excluded(eid)
         blames: List[Tuple[ProcessorId, str, str]] = []
-        edges: List[Tuple[EventId, EventId, float, str]] = []
+        edges: List[Tuple[EventId, EventId, float]] = []
         if not excluded:
             pred = self.live.last_event(event.proc)
             if pred is not None:
                 pred_id, pred_lt = pred
-                if pred_id != eid.pred():
+                if pred_id.seq + 1 != eid.seq:
                     raise ProtocolError(
                         f"{self.proc!r} inserting {eid} after {pred_id} (gap)"
                     )
-                drift = self.spec.drift_of(event.proc)
-                delta = event.lt - pred_lt
-                edges.append((eid, pred_id, (drift.beta - 1.0) * delta, "drift"))
-                edges.append((pred_id, eid, (1.0 - drift.alpha) * delta, "drift"))
+                # hardened: the predecessor may belong to an evicted claim;
+                # otherwise a missing one is a bug and step raises KeyError
+                if not hardened or pred_id in self.agdp:
+                    drift = self.spec.drift_of(event.proc)
+                    delta = event.lt - pred_lt
+                    edges.append((eid, pred_id, (drift.beta - 1.0) * delta))
+                    edges.append((pred_id, eid, (1.0 - drift.alpha) * delta))
             if event.is_receive:
                 send_lt = self.live.send_lt(event.send_eid)
                 if send_lt is not None and event.send_eid in self.agdp:
                     transit = self.spec.transit_of(event.send_eid.proc, event.proc)
                     observed = event.lt - send_lt
                     if transit.is_bounded:
-                        edges.append(
-                            (eid, event.send_eid, transit.upper - observed, "transit")
-                        )
-                    edges.append(
-                        (event.send_eid, eid, observed - transit.lower, "transit")
-                    )
+                        edges.append((eid, event.send_eid, transit.upper - observed))
+                    edges.append((event.send_eid, eid, observed - transit.lower))
                 # else: the send was flagged lost and collected before this
                 # late delivery (or its claimant is evicted); its constraints
                 # are gone, which is sound (fewer constraints only widen
@@ -802,40 +801,37 @@ class EfficientCSA(Estimator):
                 self.agdp.kill(victim)
             self._finish_insert(event, blames)
             return
-        if not self.degraded_mode:
-            self.agdp.step(eid, [(x, y, w) for x, y, w, _k in edges], kills)
-        else:
-            # per-edge insertion so one inconsistent constraint can be
-            # quarantined without losing the rest; insert_edge raises
-            # *before* mutating, so the matrix stays exact over the
-            # accepted constraints
-            self.agdp.add_node(eid)
-            for x, y, w, kind in edges:
-                if x not in self.agdp or y not in self.agdp:
-                    continue  # the other endpoint belongs to an evicted claim
-                try:
-                    self.agdp.insert_edge(x, y, w)
-                except InconsistentSpecificationError as exc:
-                    if not self._replaying:
-                        self.diagnostics.append(
-                            QuarantineDiagnostic(
-                                event=eid, edge=(x, y, w), kind=kind, reason=str(exc)
-                            )
+        # degraded mode collects inconsistent constraints instead of raising:
+        # the solver refuses each *before* writing anything, so the matrix
+        # stays exact over the accepted ones and the rest of the step lands
+        refused: Optional[List[InconsistentSpecificationError]] = (
+            [] if self.degraded_mode else None
+        )
+        self.agdp.step(eid, edges, kills, refused)
+        for error in refused or ():
+            x, y, w = error.edge
+            if not self._replaying:
+                self.diagnostics.append(
+                    QuarantineDiagnostic(
+                        event=eid,
+                        edge=error.edge,
+                        # drift edges join a processor's consecutive events
+                        kind="drift" if x.proc == y.proc else "transit",
+                        reason=str(error),
+                    )
+                )
+            if hardened:
+                for accused in sorted(
+                    {x.proc, y.proc} - set(self.suspicion.protected)
+                ):
+                    blames.append(
+                        (
+                            accused,
+                            "quarantine",
+                            f"constraint ({x}, {y}, {w:.4g}) closed a "
+                            "negative cycle",
                         )
-                    if hardened:
-                        for accused in sorted(
-                            {x.proc, y.proc} - set(self.suspicion.protected)
-                        ):
-                            blames.append(
-                                (
-                                    accused,
-                                    "quarantine",
-                                    f"constraint ({x}, {y}, {w:.4g}) closed a "
-                                    "negative cycle",
-                                )
-                            )
-            for victim in kills:
-                self.agdp.kill(victim)
+                    )
         if event.proc == self.spec.source:
             self._source_rep = eid
             if getattr(self.agdp, "source_only", False):

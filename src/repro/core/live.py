@@ -27,7 +27,9 @@ __all__ = ["LiveTracker"]
 
 @dataclass(frozen=True)
 class _LastEvent:
-    seq: int
+    #: the id object the event arrived with - handed back by
+    #: :meth:`LiveTracker.last_event` instead of being rebuilt per query
+    eid: EventId
     lt: float
     is_send: bool
 
@@ -58,11 +60,11 @@ class LiveTracker:
         last = self._last.get(proc)
         if last is None:
             return None
-        return EventId(proc, last.seq), last.lt
+        return last.eid, last.lt
 
     def last_seq(self, proc: ProcessorId) -> int:
         last = self._last.get(proc)
-        return -1 if last is None else last.seq
+        return -1 if last is None else last.eid.seq
 
     def knows(self, eid: EventId) -> bool:
         """Whether the tracked view contains ``eid``."""
@@ -76,9 +78,7 @@ class LiveTracker:
         return eid in self._undelivered
 
     def live_points(self) -> Set[EventId]:
-        live = {
-            EventId(proc, last.seq) for proc, last in self._last.items()
-        }
+        live = {last.eid for last in self._last.values()}
         live.update(self._undelivered)
         return live
 
@@ -104,7 +104,7 @@ class LiveTracker:
         tracker (what a sponsor hands a late joiner).
         """
         return {
-            proc: (last.seq, last.lt, last.is_send)
+            proc: (last.eid.seq, last.lt, last.is_send)
             for proc, last in self._last.items()
         }
 
@@ -125,7 +125,7 @@ class LiveTracker:
         if self.events_observed or self._last or self._undelivered or self._lost:
             raise ProtocolError("only a fresh tracker can adopt a frontier")
         for proc, seq, lt, is_send in last:
-            self._last[proc] = _LastEvent(seq, lt, is_send)
+            self._last[proc] = _LastEvent(EventId(proc, seq), lt, is_send)
         for proc, seq, lt in undelivered:
             eid = EventId(proc, seq)
             if seq > self.last_seq(proc):
@@ -157,15 +157,15 @@ class LiveTracker:
         try/except recovery - continuity would already be spent.
         """
         eid = event.eid
-        expected = self.last_seq(eid.proc) + 1
+        prev = self._last.get(eid.proc)
+        expected = 0 if prev is None else prev.eid.seq + 1
         if eid.seq != expected:
             raise ProtocolError(
                 f"event {eid} observed out of order (expected seq {expected})"
             )
         dead: List[EventId] = []
-        prev = self._last.get(eid.proc)
         if prev is not None:
-            prev_id = EventId(eid.proc, prev.seq)
+            prev_id = prev.eid
             # the old last point stays live only as an undelivered send
             if prev_id not in self._undelivered:
                 dead.append(prev_id)
@@ -185,7 +185,7 @@ class LiveTracker:
                     raise ProtocolError(
                         f"message {send_eid} delivered twice (receive {eid})"
                     )
-        self._last[eid.proc] = _LastEvent(eid.seq, event.lt, event.is_send)
+        self._last[eid.proc] = _LastEvent(eid, event.lt, event.is_send)
         if event.is_send:
             self._undelivered[eid] = event.lt
         self.events_observed += 1

@@ -191,6 +191,11 @@ class Simulation:
             faults.bind(network) if faults is not None else None
         )
         self.now = 0.0
+        # lazy import, as in EfficientCSA: repro.testing imports this module
+        from ..testing.invariants import debug_checks_enabled
+
+        #: REPRO_DEBUG: assert that simulated time never moves backwards
+        self._debug_checks = debug_checks_enabled()
         self._queue: List[Tuple[float, int, Callable[[], None]]] = []
         self._tiebreak = itertools.count()
         self.processors: Dict[ProcessorId, SimProcessor] = {}
@@ -573,8 +578,13 @@ class Simulation:
         """
         executed = 0
         queue = self._queue
-        while queue and queue[0][0] <= rt_limit:
-            if max_actions is not None and executed >= max_actions:
+        # a call that spends its action budget leaves time at the last
+        # executed action: due actions may remain, and jumping to rt_limit
+        # would make the next call move ``now`` backwards
+        while max_actions is None or executed < max_actions:
+            if not queue or queue[0][0] > rt_limit:
+                # drained up to rt_limit: nothing can happen before it
+                self.now = max(self.now, rt_limit)
                 break
             entry = heapq.heappop(queue)
             rt, _tie, action = entry
@@ -592,11 +602,18 @@ class Simulation:
                 if len(batch) > 1:
                     executed += self._deliver_batch(dest, batch)
                     continue
-            self.now = rt
+            self._advance(rt)
             action()
             executed += 1
-        self.now = max(self.now, rt_limit)
         return executed
+
+    def _advance(self, rt: float) -> None:
+        """Move simulated time to the action about to execute."""
+        if self._debug_checks and rt < self.now:
+            raise SimulationError(
+                f"simulated time moved backwards ({rt} < {self.now})"
+            )
+        self.now = rt
 
     def _deliver_batch(
         self, dest: ProcessorId, batch: List[Tuple[float, int, "_DeliveryAction"]]
@@ -622,7 +639,7 @@ class Simulation:
                 for entry in batch[i:]:
                     heapq.heappush(queue, entry)
                 break
-            self.now = rt
+            self._advance(rt)
             self._deliver(action.message, action.arrival, lt_hint=hints[i])
             executed += 1
         return executed

@@ -41,7 +41,7 @@ from .invariants import (
     debug_checks_enabled,
 )
 from .mutants import BrokenGCCSA, broken_gc_factory
-from .reference import ReferenceHistoryModule, ReferenceNumpyAGDP
+from .reference import PerEdgeAGDP, ReferenceHistoryModule, ReferenceNumpyAGDP
 from .oracle import (
     OracleInconsistencyError,
     oracle_all_pairs,
@@ -62,6 +62,7 @@ __all__ = [
     "Divergence",
     "InvariantViolation",
     "OracleInconsistencyError",
+    "PerEdgeAGDP",
     "ReferenceHistoryModule",
     "ReferenceNumpyAGDP",
     "assert_bound_equal",

@@ -35,7 +35,7 @@ from ..core.errors import InconsistentSpecificationError, ProtocolError
 from ..core.events import Event, EventId, ProcessorId
 from ..core.history import HistoryPayload, HistoryStats
 
-__all__ = ["ReferenceHistoryModule", "ReferenceNumpyAGDP"]
+__all__ = ["PerEdgeAGDP", "ReferenceHistoryModule", "ReferenceNumpyAGDP"]
 
 INF = math.inf
 
@@ -190,6 +190,36 @@ class ReferenceNumpyAGDP:
 
     def matrix_size(self) -> int:
         return len(self._slot) * len(self._slot)
+
+
+class PerEdgeAGDP(ReferenceNumpyAGDP):
+    """``step`` as it was before it went node-wise, on the frozen backend:
+    ``add_node``, then one ``insert_edge`` per edge - collecting the
+    inconsistent ones when the caller quarantines.  The oracle for the
+    production backends' node-wise ``step(..., refused)``."""
+
+    def step(
+        self,
+        node: NodeKey,
+        edges: Iterable[Tuple[NodeKey, NodeKey, float]],
+        kills: Iterable[NodeKey] = (),
+        refused: Optional[List[InconsistentSpecificationError]] = None,
+    ) -> None:
+        self.add_node(node)
+        for x, y, w in edges:
+            if node not in (x, y):
+                raise ValueError(
+                    f"AGDP step for {node!r} may only insert incident edges, got ({x!r}, {y!r})"
+                )
+            try:
+                self.insert_edge(x, y, w)
+            except InconsistentSpecificationError as exc:
+                if refused is None:
+                    raise
+                exc.edge = (x, y, w)  # the frozen backend names no self-loop
+                refused.append(exc)
+        for victim in kills:
+            self.kill(victim)
 
 
 @dataclass

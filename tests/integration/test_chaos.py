@@ -24,7 +24,7 @@ import math
 
 import pytest
 
-from repro.core.csa import EfficientCSA, QuarantineDiagnostic
+from repro.core.csa import EfficientCSA, QuarantineDiagnostic, SuspicionPolicy
 from repro.core.errors import InconsistentSpecificationError, SimulationError
 from repro.sim.engine import Simulation
 from repro.sim.faults import (
@@ -40,6 +40,7 @@ from repro.sim.faults import (
 from repro.sim.network import topologies
 from repro.sim.runner import run_workload, standard_network
 from repro.sim.workloads import PeriodicGossip
+from repro.testing import PerEdgeAGDP
 
 
 def _estimators(**kwargs):
@@ -221,6 +222,54 @@ def test_out_of_spec_quarantined_in_degraded_mode(kind):
         assert estimator.degraded or not estimator.diagnostics
         bound = estimator.estimate_now(result.sim.local_time(proc))
         assert bound.lower <= bound.upper
+
+
+class _PerEdgeCSA(EfficientCSA):
+    """The quarantining path as it was before ``step`` went node-wise."""
+
+    def _make_agdp(self):
+        return PerEdgeAGDP(gc_enabled=self._agdp_gc)
+
+
+@pytest.mark.parametrize("kind", ["delay", "drift"])
+@pytest.mark.parametrize("hardened", [False, True], ids=["degraded", "hardened"])
+def test_quarantine_unchanged_by_node_wise_step(kind, hardened):
+    """Same constraints quarantined, same diagnostics, same blame ledger.
+
+    Both estimators see the same execution; only the solver behind the
+    quarantining branch differs (node-wise ``step`` vs the frozen per-edge
+    sequence), rebuilds after evictions included.
+    """
+    network, plan = _excursion_network_and_plan(kind)
+    mode = {"suspicion": SuspicionPolicy()} if hardened else {"degraded_mode": True}
+    result = run_workload(
+        network,
+        PeriodicGossip(period=4.0, seed=5),
+        {
+            "efficient": lambda p, s: EfficientCSA(p, s, reliable=False, **mode),
+            "per-edge": lambda p, s: _PerEdgeCSA(p, s, reliable=False, **mode),
+        },
+        duration=60.0,
+        seed=5,
+        faults=plan,
+    )
+    quarantined = 0
+    for proc in network.processors:
+        new = result.sim.estimator(proc, "efficient")
+        old = result.sim.estimator(proc, "per-edge")
+        assert new.diagnostics == old.diagnostics
+        quarantined += len(new.diagnostics)
+        if hardened:
+            assert new.suspicion.scores == old.suspicion.scores
+            assert new.suspicion.blame_counts == old.suspicion.blame_counts
+            assert new.suspicion.last_blame_lt == old.suspicion.last_blame_lt
+            assert new.eviction_events == old.eviction_events
+        a, b = new.estimate(), old.estimate()
+        assert (a.is_bounded, b.is_bounded) == (True, True) or a == b
+        if a.is_bounded:
+            assert a.lower == pytest.approx(b.lower, abs=1e-9)
+            assert a.upper == pytest.approx(b.upper, abs=1e-9)
+    assert quarantined, "expected the excursion to trip the quarantine"
 
 
 def test_drift_excursion_violates_advertised_spec():

@@ -67,6 +67,34 @@ class TestScheduling:
             sim.schedule_at(float(i + 1), lambda: None)
         assert sim.run_until(100.0, max_actions=3) == 3
 
+    def test_max_actions_leaves_now_at_the_executed_action(self):
+        """Stopping early must not jump to the limit: due actions remain,
+        and the next one would then move ``now`` backwards."""
+        sim = Simulation(tiny_network())
+        seen = []
+        for i in range(3):
+            sim.schedule_at(float(i + 1), lambda: seen.append(sim.now))
+        assert sim.run_until(1e9, max_actions=1) == 1
+        assert sim.now == 1.0
+        sim.schedule_after(0.5, lambda: seen.append(sim.now))  # relative to 1.0
+        while sim.pending_actions():
+            before = sim.now
+            sim.run_until(1e9, max_actions=1)
+            assert sim.now >= before
+        assert seen == [1.0, 1.5, 2.0, 3.0]
+        assert sim.now == 3.0
+        # budget left and the queue drained up to the limit: time advances
+        assert sim.run_until(50.0, max_actions=1) == 0
+        assert sim.now == 50.0
+
+    def test_debug_mode_rejects_time_moving_backwards(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DEBUG", "1")
+        sim = Simulation(tiny_network())
+        sim.schedule_at(1.0, lambda: None)
+        sim.now = 5.0  # what the old max_actions clamp used to do
+        with pytest.raises(SimulationError):
+            sim.run_until(10.0)
+
 
 class TestEvents:
     def test_internal_event_recorded(self):
