@@ -24,13 +24,17 @@ from repro.core.specs import DriftSpec
 from repro.rt.clock import MonotonicClockSource, TimeBase
 from repro.rt.cluster import ClusterConfig, build_spec
 from repro.rt.node import Node, NodeConfig
+from repro.rt.serve import ServeConfig
 from repro.rt.strata import DelegatedBound, DelegationServer, compose_delegated
 from repro.rt.transport import LoopbackTransport
 from repro.rt.wire import decode_frame, dreq_frame, encode_frame
 
 
 def _delegation_rig(bound_source):
-    """A delegation server over a primed node, no event loop."""
+    """A delegation server over a primed node, no event loop.
+
+    The bucket is sized so the tight loop measures answers, not sheds.
+    """
     config = ClusterConfig(
         processors=("c0", "c1", "c2"),
         links=(("c0", "c1"), ("c1", "c2")),
@@ -41,10 +45,12 @@ def _delegation_rig(bound_source):
         clock=MonotonicClockSource(),
         time_base=TimeBase(),
     )
-    server = DelegationServer(node, stratum=1, bound_source=bound_source)
-    node._running = True
-    server._running = True
-    return server
+    return DelegationServer(
+        node,
+        stratum=1,
+        config=ServeConfig(bucket_rate=1e9, bucket_burst=1e9),
+        bound_source=bound_source,
+    )
 
 
 def test_delegation_reply_throughput(benchmark):
@@ -52,7 +58,7 @@ def test_delegation_reply_throughput(benchmark):
     server = _delegation_rig(lambda: (ClockBound(5.0, 5.002), False, 0.05))
     dreq = encode_frame(dreq_frame("t1n0!anchor", server.endpoint, 7))
 
-    result = benchmark(server.handle_dreq_bytes, dreq)
+    result = benchmark(server.handle_probe_bytes, dreq)
 
     frame = decode_frame(result).frame
     assert frame.type == "deleg" and frame.nonce == 7
@@ -64,7 +70,7 @@ def test_delegation_shed_fast_path(benchmark):
     server = _delegation_rig(lambda: None)
     dreq = encode_frame(dreq_frame("t1n0!anchor", server.endpoint, 3))
 
-    result = benchmark(server.handle_dreq_bytes, dreq)
+    result = benchmark(server.handle_probe_bytes, dreq)
 
     frame = decode_frame(result).frame
     assert frame.type == "shed" and frame.reason == "unsynced"

@@ -29,7 +29,17 @@ from ..sim.clock import PiecewiseDriftingClock
 from .clock import ModelClockSource, SkewedClockSource
 from .cluster import ClusterConfig, CrashSchedule, dump_rt_run, run_cluster
 
-__all__ = ["main", "build_parser", "shape_links", "run_abortable"]
+__all__ = [
+    "main",
+    "build_parser",
+    "shape_links",
+    "run_abortable",
+    "run_to_death",
+    "add_cluster_flags",
+    "add_death_flags",
+    "bad_timeout",
+    "parse_crash",
+]
 
 T = TypeVar("T")
 
@@ -88,8 +98,22 @@ def run_abortable(
     return asyncio.run(drive()), why[0]
 
 
-def abort_exit_code(why: Optional[str]) -> int:
-    return EXIT_INTERRUPTED if why == "interrupt" else EXIT_TIMEOUT
+def run_to_death(
+    runner: Callable[[asyncio.Event], Awaitable[T]],
+    timeout: Optional[float] = None,
+) -> Tuple[T, Optional[int]]:
+    """:func:`run_abortable` plus the shared tail of the death contract.
+
+    Returns ``(result, exit_code)``: ``None`` for a run that finished,
+    else 130 (SIGINT) or 124 (timeout) after saying so on stderr.  The
+    caller still prints and archives the partial evidence before
+    returning the code.
+    """
+    result, why = run_abortable(runner, timeout)
+    if not result.aborted:
+        return result, None
+    print(f"aborted ({why}): partial evidence only", file=sys.stderr)
+    return result, EXIT_INTERRUPTED if why == "interrupt" else EXIT_TIMEOUT
 
 
 def shape_links(
@@ -114,27 +138,25 @@ def shape_links(
     raise ValueError(f"unknown shape {shape!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-rt",
-        description="Run a live EfficientCSA cluster over loopback or UDP.",
-    )
-    parser.add_argument("--nodes", type=int, default=3, help="cluster size (default 3)")
+def add_cluster_flags(
+    parser,
+    *,
+    period: float,
+    transport_help: str = "in-process loopback or real UDP sockets on 127.0.0.1",
+    anchor: str = "source",
+) -> None:
+    """The cluster flags every runtime CLI shares, declared once.
+
+    ``parser`` may be an argument group.  ``period`` is the CLI's default
+    gossip period; ``anchor`` names the nodes whose clocks stay
+    monotonic in the help text (``source`` or ``border``).
+    """
     parser.add_argument(
-        "--shape",
-        choices=("line", "ring", "star", "full", "tree"),
-        default="line",
-        help="topology over n0..n{N-1}; n0 is the source/root (default line)",
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("loopback", "udp"),
-        default="loopback",
-        help="in-process loopback or real UDP sockets on 127.0.0.1",
+        "--transport", choices=("loopback", "udp"), default="loopback", help=transport_help
     )
     parser.add_argument("--duration", type=float, default=3.0, help="wall seconds to run")
     parser.add_argument(
-        "--period", type=float, default=0.25, help="gossip period in seconds"
+        "--period", type=float, default=period, help="gossip period in seconds"
     )
     parser.add_argument(
         "--sample-period", type=float, default=0.25, help="estimate sampling period"
@@ -143,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--skew-ppm",
         type=float,
         default=0.0,
-        help="give node i a fixed clock skew of i*this many ppm",
+        help=f"give the i-th non-{anchor} node a fixed clock skew of i*this many ppm",
     )
     parser.add_argument(
         "--drifting",
         action="store_true",
-        help="give non-source nodes seeded piecewise-drifting clocks instead",
+        help=f"give non-{anchor} nodes seeded piecewise-drifting clocks instead",
     )
     parser.add_argument(
         "--drift-ppm",
@@ -164,6 +186,42 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail-stop PROC at STOP elapsed seconds (restart at RESTART)",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for jitter and clocks")
+
+
+def add_death_flags(
+    parser, out_help: str = "archive the run as a serialize-v2 JSON document"
+) -> None:
+    """``--out`` and ``--timeout``: the flags of the clean-death contract."""
+    parser.add_argument("--out", help=out_help)
+    parser.add_argument(
+        "--timeout",
+        type=float,
+        default=None,
+        help="abort cleanly after this many wall seconds (partial archive, exit 124)",
+    )
+
+
+def bad_timeout(args) -> bool:
+    """Reject a non-positive ``--timeout`` (usage error, exit 2)."""
+    if args.timeout is None or args.timeout > 0:
+        return False
+    print("error: --timeout must be positive", file=sys.stderr)
+    return True
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-rt",
+        description="Run a live EfficientCSA cluster over loopback or UDP.",
+    )
+    parser.add_argument("--nodes", type=int, default=3, help="cluster size (default 3)")
+    parser.add_argument(
+        "--shape",
+        choices=("line", "ring", "star", "full", "tree"),
+        default="line",
+        help="topology over n0..n{N-1}; n0 is the source/root (default line)",
+    )
+    add_cluster_flags(parser, period=0.25)
     parser.add_argument(
         "--codec",
         choices=("binary", "json"),
@@ -177,13 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="pin PROC to the v2 JSON codec (mixed-codec interop testing)",
     )
-    parser.add_argument("--out", help="archive the run as a serialize-v2 JSON document")
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="abort cleanly after this many wall seconds (partial archive, exit 124)",
-    )
+    add_death_flags(parser)
     parser.add_argument(
         "--require-converged",
         action="store_true",
@@ -192,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_crash(text: str) -> CrashSchedule:
+def parse_crash(text: str) -> CrashSchedule:
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"crash spec {text!r} is not PROC:STOP[:RESTART]")
@@ -228,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     names = [f"n{i}" for i in range(args.nodes)]
     try:
-        crashes = tuple(_parse_crash(text) for text in args.crash)
+        crashes = tuple(parse_crash(text) for text in args.crash)
         config = ClusterConfig(
             processors=tuple(names),
             links=tuple(shape_links(names, args.shape)),
@@ -245,15 +297,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
+    if bad_timeout(args):
         return 2
-    result, why = run_abortable(
+    result, death = run_to_death(
         lambda abort: run_cluster(config, abort=abort), args.timeout
     )
-
-    if result.aborted:
-        print(f"aborted ({why}): partial evidence only", file=sys.stderr)
     print(
         f"{args.nodes}-node {args.shape} over {args.transport}: "
         f"{result.messages_sent} messages, {result.messages_lost} lost, "
@@ -274,8 +322,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.out:
         dump_rt_run(result, args.out)
         print(f"  archived -> {args.out}")
-    if result.aborted:
-        return abort_exit_code(why)
+    if death is not None:
+        return death
     if args.require_converged and (violations or not all_converged):
         return 1
     return 0

@@ -1,9 +1,13 @@
-"""The swarm client of the serving tier: probe, back off, fail over.
+"""The one bound client of the Cristian exchange: probe, back off, fail over.
 
 A :class:`ServeClient` is the lightweight counterpart of a
 :class:`~repro.rt.serve.ServeNode`: it holds no protocol state, just a
-hardware clock and a priority list of serving endpoints.  Its loop is
-one Cristian round trip per ``sync_interval``:
+hardware clock and a priority list of serving endpoints.  Like the
+server it speaks either frame pair - ``probe``/``reply`` here,
+``dreq``/``deleg`` in :class:`~repro.rt.strata.delegation.AnchorLink`,
+which selects the pair by class attribute and adds only what a stratum
+border needs on top (expiry, the election view of a rotation).  Its
+loop is one Cristian round trip per ``sync_interval``:
 
 * **Sound bound adoption.**  A probe leaves at client local time ``lt0``
   and its reply arrives at ``lt1`` carrying the server's interval
@@ -19,7 +23,8 @@ one Cristian round trip per ``sync_interval``:
   between syncs the client's worst error growth is its drift ``rho``
   per local second, so holding a target error ``eps_max`` needs a probe
   every ``eps_max / rho`` seconds; a safety factor of two absorbs
-  network delay, giving ``interval = eps_max / (2 rho)`` (clamped).
+  network delay, giving ``interval = eps_max / (2 rho)`` (clamped; a
+  fixed cadence is ``min_interval == max_interval``).
 * **Backoff and shed handling.**  Timeouts back off exponentially with
   seeded jitter; an explicit ``shed`` honors the server's
   ``retry_after`` hint (never retrying earlier than told).  Sheds prove
@@ -30,7 +35,7 @@ one Cristian round trip per ``sync_interval``:
   with silence relative to that learned cadence (a simplified
   phi-accrual detector).  Past ``failover_threshold`` - or after a long
   unbroken shed streak - the client rotates to the next server in its
-  list and starts fresh.
+  list and starts fresh (the strata layer calls this *re-election*).
 
 Clock hygiene: every interval - RTT, backoff, health, staleness - is
 measured on the monotonic :class:`~repro.rt.clock.TimeBase` +
@@ -50,6 +55,7 @@ from ..core.errors import SimulationError
 from ..core.events import ProcessorId
 from ..core.intervals import ClockBound
 from .clock import ClockSource, MonotonicClockSource, TimeBase
+from .serve import CounterStats
 from .transport import Transport
 from .wire import WIRE_CODECS, Frame, decode_frame, encode_frame, probe_frame
 
@@ -196,9 +202,10 @@ class ClientConfig:
 
 
 @dataclass
-class ClientStats:
+class ClientStats(CounterStats):
     """Live counters of one client."""
 
+    #: requests sent (``probe`` or ``dreq``)
     probes: int = 0
     replies: int = 0
     accepted: int = 0
@@ -206,28 +213,26 @@ class ClientStats:
     sheds: int = 0
     shed_reasons: Dict[str, int] = field(default_factory=dict)
     timeouts: int = 0
+    #: rotations to the next server (anchor re-elections, on a border)
     failovers: int = 0
+    #: reads refused because the accepted bound had aged past ``max_age``
+    stale_refusals: int = 0
     #: replies with unknown/expired nonces or from the wrong server
     unmatched: int = 0
     decode_errors: int = 0
 
-    def to_dict(self) -> Dict:
-        return {
-            "probes": self.probes,
-            "replies": self.replies,
-            "accepted": self.accepted,
-            "degraded_accepted": self.degraded_accepted,
-            "sheds": self.sheds,
-            "shed_reasons": dict(sorted(self.shed_reasons.items())),
-            "timeouts": self.timeouts,
-            "failovers": self.failovers,
-            "unmatched": self.unmatched,
-            "decode_errors": self.decode_errors,
-        }
+    @property
+    def adopted(self) -> int:
+        """The strata name for ``accepted``: a border *adopts* a bound."""
+        return self.accepted
 
 
 class ServeClient:
     """One lightweight client: clock + failover list + probe loop."""
+
+    #: the frame pair spoken: the request constructor, the answer type
+    request_frame = staticmethod(probe_frame)
+    answer_type = "reply"
 
     def __init__(
         self,
@@ -246,11 +251,10 @@ class ServeClient:
         self.samples: List[AcceptedSample] = []
         #: (rt, from_server, to_server) per failover, in order
         self.failover_events: List[Tuple[float, ProcessorId, ProcessorId]] = []
-        #: latest accepted bound and its anchor local time
-        self._current: Optional[Tuple[float, ClockBound]] = None
+        #: latest acceptance: anchor local time, the sample, the answer frame
+        self._current: Optional[Tuple[float, AcceptedSample, Frame]] = None
         self._server_index = 0
         self._nonce = 0
-        self._consecutive_failures = 0
         self._shed_streak = 0
         #: nonce -> (send lt, server probed, reply future)
         self._pending: Dict[int, Tuple[float, ProcessorId, asyncio.Future]] = {}
@@ -309,7 +313,7 @@ class ServeClient:
             self.stats.decode_errors += 1
             return
         frame = result.frame
-        if frame.type not in ("reply", "shed") or frame.dst != self.name:
+        if frame.type not in (self.answer_type, "shed") or frame.dst != self.name:
             self.stats.unmatched += 1
             return
         entry = self._pending.get(frame.nonce)
@@ -342,7 +346,7 @@ class ServeClient:
         self.transport.send(
             self.name,
             server,
-            encode_frame(probe_frame(self.name, server, nonce), self.config.codec),
+            encode_frame(self.request_frame(self.name, server, nonce), self.config.codec),
         )
         try:
             frame = await asyncio.wait_for(future, timeout=self.config.probe_timeout)
@@ -354,11 +358,10 @@ class ServeClient:
             raise
         if frame.type == "shed":
             return self._on_shed(frame)
-        return self._on_reply(frame, lt0)
+        return self._adopt(frame, lt0)
 
     def _on_timeout(self) -> float:
         self.stats.timeouts += 1
-        self._consecutive_failures += 1
         self._shed_streak = 0
         self.health.on_failure()
         self._maybe_failover()
@@ -370,7 +373,6 @@ class ServeClient:
         self.stats.shed_reasons[reason] = self.stats.shed_reasons.get(reason, 0) + 1
         # a shed is liveness evidence: the server answered, it just said no
         self.health.on_alive()
-        self._consecutive_failures = 0
         self._shed_streak += 1
         if self._shed_streak >= self.config.shed_failover_streak and len(self.config.servers) > 1:
             self._failover()
@@ -379,7 +381,7 @@ class ServeClient:
         # resynchronize the swarm into the next storm
         return max(frame.retry_after or 0.0, self._backoff(extra_attempts=self._shed_streak))
 
-    def _on_reply(self, frame: Frame, lt0: float) -> float:
+    def _adopt(self, frame: Frame, lt0: float) -> float:
         rt1, lt1 = self._now()
         self.stats.replies += 1
         rtt_lt = max(0.0, lt1 - lt0)
@@ -399,9 +401,8 @@ class ServeClient:
         self.stats.accepted += 1
         if frame.degraded:
             self.stats.degraded_accepted += 1
-        self._current = (lt1, accepted)
+        self._current = (lt1, sample, frame)
         self.health.on_reply(lt1)
-        self._consecutive_failures = 0
         self._shed_streak = 0
         return self.config.sync_interval(self.clock.advertised.max_deviation)
 
@@ -421,12 +422,11 @@ class ServeClient:
         self.stats.failovers += 1
         self.failover_events.append((rt, previous, self.server))
         self.health.reset()
-        self._consecutive_failures = 0
         self._shed_streak = 0
 
     def _backoff(self, *, extra_attempts: int = 0) -> float:
         """Exponential backoff with jitter, in client local seconds."""
-        attempts = max(self._consecutive_failures, extra_attempts, 1)
+        attempts = max(self.health.failures, extra_attempts, 1)
         raw = min(self.config.backoff_cap, self.config.backoff_base * 2.0 ** (attempts - 1))
         return raw * (0.5 + 0.5 * self._rng.random())
 
@@ -441,8 +441,8 @@ class ServeClient:
         if self._current is None:
             return None
         rt, lt = self._now()
-        anchor_lt, bound = self._current
-        return rt, bound.advance(max(0.0, lt - anchor_lt), self.clock.advertised)
+        anchor_lt, sample, _frame = self._current
+        return rt, sample.bound.advance(max(0.0, lt - anchor_lt), self.clock.advertised)
 
     def unsound_samples(self) -> List[AcceptedSample]:
         return [sample for sample in self.samples if not sample.sound]

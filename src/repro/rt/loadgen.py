@@ -56,10 +56,6 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     return ordered[min(rank, len(ordered)) - 1]
 
 
-#: backwards-compatible alias for the pre-public name
-_percentile = percentile
-
-
 @dataclass(frozen=True)
 class ServeLoadConfig:
     """One load-test scenario: a cluster, its servers, and a swarm."""

@@ -655,9 +655,6 @@ class Node:
             lt = last.lt  # clock resolution race with an in-flight event
         return rt, self.estimator.estimate_now(lt)
 
-    # backward-compatible alias (pre-serving-tier name)
-    _estimate_at_now = estimate_at_now
-
     def snapshot(self) -> NodeStats:
         rt, lt = self._now()
         suspicion = getattr(self.estimator, "suspicion", None)

@@ -1,15 +1,22 @@
-"""The Cristian serving tier: stateless probe/reply service on a synced node.
+"""The one bound server of the Cristian exchange, riding a synced node.
 
 The paper's Sec 4 application: lightweight clients do not join the
 history/AGDP protocol at all - they probe a synced node and receive the
 node's *optimal external bounds*, paying one message round trip instead
 of a protocol membership.  A :class:`ServeNode` rides on an existing
-:class:`~repro.rt.node.Node`: it registers its own transport endpoint
-(``serve_endpoint(proc)``), answers ``probe`` frames with ``reply``
-frames carrying the node's :meth:`~repro.rt.node.Node.estimate_at_now`
-interval, and keeps **zero per-client state** - correlation is the
-client's nonce, so millions of clients cost the server only the traffic
-they generate.
+:class:`~repro.rt.node.Node`: it registers its own transport endpoint,
+answers request frames with answer frames carrying the node's
+:meth:`~repro.rt.node.Node.estimate_at_now` interval, and keeps **zero
+per-client state** - correlation is the client's nonce, so millions of
+clients cost the server only the traffic they generate.
+
+The exchange is spoken over two frame pairs, selected by class
+attributes and nothing else: ``probe``/``reply`` on
+``serve_endpoint(proc)`` (this class, the serving tier) and
+``dreq``/``deleg`` on ``deleg_endpoint(proc)``
+(:class:`~repro.rt.strata.delegation.DelegationServer`, which only adds
+the ``hops``/``stratum`` it stamps on every answer).  Decode, screening,
+admission, the queue worker and the answer arithmetic exist once.
 
 A serving tier is deployable only if it stays *sound under stress*.
 Three robustness mechanisms are built in:
@@ -50,11 +57,12 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 from ..core.errors import SimulationError
 from ..core.events import ProcessorId
+from ..core.intervals import ClockBound
 from .node import Node
 from .transport import Transport
 from .wire import (
@@ -72,7 +80,9 @@ __all__ = [
     "serve_owner",
     "TokenBucket",
     "ServeConfig",
+    "CounterStats",
     "ServeStats",
+    "BoundSource",
     "ServeNode",
 ]
 
@@ -166,9 +176,31 @@ class ServeConfig:
 
 
 @dataclass
-class ServeStats:
+class CounterStats:
+    """Live counters that archive themselves from their dataclass fields."""
+
+    def to_dict(self) -> Dict:
+        doc = {}
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            doc[spec.name] = dict(sorted(value.items())) if isinstance(value, dict) else value
+        return doc
+
+    @classmethod
+    def from_dict(cls, data: Dict):
+        """Rebuild from an archived row.
+
+        Derived keys are ignored; missing counters keep their defaults.
+        """
+        names = {spec.name for spec in fields(cls)}
+        return cls(**{key: value for key, value in data.items() if key in names})
+
+
+@dataclass
+class ServeStats(CounterStats):
     """Live counters of one serving endpoint (shapes the run document)."""
 
+    #: well-formed requests (``probe`` or ``dreq``) addressed to this endpoint
     probes: int = 0
     replies: int = 0
     degraded_replies: int = 0
@@ -179,6 +211,8 @@ class ServeStats:
     #: probes silently dropped because the backing node was down
     dropped_down: int = 0
     max_queue_depth: int = 0
+    #: answers that raised inside the queue worker (counted, worker survives)
+    worker_errors: int = 0
 
     @property
     def shed_total(self) -> int:
@@ -190,17 +224,18 @@ class ServeStats:
 
     def to_dict(self) -> Dict:
         return {
-            "probes": self.probes,
-            "replies": self.replies,
-            "degraded_replies": self.degraded_replies,
-            "shed": dict(sorted(self.shed.items())),
+            **super().to_dict(),
             "shed_total": self.shed_total,
             "shed_rate": self.shed_rate(),
-            "decode_errors": self.decode_errors,
-            "rejected_frames": self.rejected_frames,
-            "dropped_down": self.dropped_down,
-            "max_queue_depth": self.max_queue_depth,
         }
+
+
+#: a bound source answers ``(bound, degraded, age)`` or None when unsynced
+BoundSource = Callable[[], Optional[Tuple[ClockBound, bool, float]]]
+
+
+#: what a bound source that has nothing fresh stands for
+_UNSYNCED = (ClockBound.unbounded(), False, 0.0)
 
 
 class ServeNode:
@@ -213,12 +248,18 @@ class ServeNode:
     tested and benchmarked without an event loop.
     """
 
+    #: the frame pair spoken: the request type screened for, the answer
+    #: constructor, and the endpoint naming rule
+    request_type = "probe"
+    answer_frame = staticmethod(reply_frame)
+    endpoint_of = staticmethod(serve_endpoint)
+
     def __init__(
         self,
         node: Node,
         transport: Optional[Transport] = None,
         config: Optional[ServeConfig] = None,
-        bound_source=None,
+        bound_source: Optional[BoundSource] = None,
     ):
         self.node = node
         self.transport = transport if transport is not None else node.transport
@@ -229,7 +270,7 @@ class ServeNode:
         #: so a downstream tier's serving endpoint hands clients
         #: federation-level source-time bounds instead of tier-local ones
         self.bound_source = bound_source
-        self.endpoint = serve_endpoint(node.proc)
+        self.endpoint = self.endpoint_of(node.proc)
         self.bucket = TokenBucket(self.config.bucket_rate, self.config.bucket_burst)
         self.stats = ServeStats()
         #: admitted probes with the codec each arrived in (echoed back)
@@ -261,10 +302,9 @@ class ServeNode:
         self.transport.unregister(self.endpoint)
         if self._worker is not None:
             self._worker.cancel()
-            try:
-                await self._worker
-            except asyncio.CancelledError:
-                pass
+            # a worker that already finished (however it ended) is as
+            # stopped as a cancelled one: collect it, never re-raise it
+            await asyncio.gather(self._worker, return_exceptions=True)
             self._worker = None
         # queued probes die with the server: their clients' timeouts and
         # failover machinery are exactly the recovery path for that
@@ -303,7 +343,15 @@ class ServeNode:
             if not self._running or not self.node.running:
                 self.stats.dropped_down += 1
                 continue
-            self.transport.send(self.endpoint, frame.src, self._answer(frame, codec))
+            try:
+                answer = self._answer(frame, codec)
+            except Exception:
+                # an estimator error, a raising bound_source, a frame
+                # constructor refusing its input: this request goes
+                # unanswered (its client times out), the next is served
+                self.stats.worker_errors += 1
+                continue
+            self.transport.send(self.endpoint, frame.src, answer)
 
     # -- synchronous core (fast path; also the benchmark surface) ----------------
 
@@ -318,9 +366,9 @@ class ServeNode:
             self.stats.decode_errors += 1
             return None
         frame = result.frame
-        if frame.type != "probe" or frame.dst != self.endpoint:
-            # the serving tier speaks probe/reply/shed only; anything else
-            # addressed here is a stray or hostile frame
+        if frame.type != self.request_type or frame.dst != self.endpoint:
+            # an endpoint speaks its own frame pair (plus shed) only;
+            # anything else addressed here is a stray or hostile frame
             self.stats.rejected_frames += 1
             return None
         self.stats.probes += 1
@@ -364,46 +412,29 @@ class ServeNode:
         the client's own probe->reply window.
         """
         if self.bound_source is not None:
-            sourced = self.bound_source()
-            if sourced is None or not sourced[0].is_bounded:
-                return self._shed_bytes(
-                    frame, self.config.unsynced_retry_after, "unsynced", codec
-                )
-            bound, degraded, age = sourced
+            bound, degraded, age = self.bound_source() or _UNSYNCED
+        else:
+            rt, bound = self.node.estimate_at_now()
+            estimator = self.node.estimator
+            last = estimator.last_local_event
+            lt = self.node.clock.lt_at(rt)
+            age = max(0.0, lt - last.lt) if last is not None else 0.0
+            quarantined = bool(getattr(estimator, "degraded", False))
+            degraded = quarantined or age > self.config.stale_after
             if degraded:
-                self.stats.degraded_replies += 1
-            self.stats.replies += 1
-            return encode_frame(
-                reply_frame(
-                    self.endpoint,
-                    frame.src,
-                    frame.nonce,
-                    bound,
-                    degraded=degraded,
-                    age=age,
-                ),
-                codec,
-            )
-        rt, bound = self.node.estimate_at_now()
+                rho = self.config.degraded_rho
+                if rho is None:
+                    rho = self.node.clock.advertised.max_deviation
+                bound = bound.widen(rho * age, rho * age)
         if not bound.is_bounded:
             return self._shed_bytes(
                 frame, self.config.unsynced_retry_after, "unsynced", codec
             )
-        estimator = self.node.estimator
-        last = estimator.last_local_event
-        lt = self.node.clock.lt_at(rt)
-        age = max(0.0, lt - last.lt) if last is not None else 0.0
-        quarantined = bool(getattr(estimator, "degraded", False))
-        degraded = quarantined or age > self.config.stale_after
         if degraded:
-            rho = self.config.degraded_rho
-            if rho is None:
-                rho = self.node.clock.advertised.max_deviation
-            bound = bound.widen(rho * age, rho * age)
             self.stats.degraded_replies += 1
         self.stats.replies += 1
         return encode_frame(
-            reply_frame(
+            self.answer_frame(
                 self.endpoint,
                 frame.src,
                 frame.nonce,

@@ -26,12 +26,14 @@ from typing import List, Optional
 from .client import ClientConfig
 from .cli import (
     _clocks,
-    _parse_crash,
-    abort_exit_code,
-    run_abortable,
+    add_cluster_flags,
+    add_death_flags,
+    bad_timeout,
+    parse_crash,
+    run_to_death,
     shape_links,
 )
-from .cluster import ClusterConfig, CrashSchedule
+from .cluster import ClusterConfig
 from .loadgen import ServeLoadConfig, run_serve_load
 from .serve import ServeConfig
 
@@ -51,50 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="full",
         help="topology over n0..n{N-1}; n0 is the source/root (default full)",
     )
-    cluster.add_argument(
-        "--transport",
-        choices=("loopback", "udp"),
-        default="loopback",
-        help="in-process loopback or real UDP sockets on 127.0.0.1",
-    )
-    cluster.add_argument("--duration", type=float, default=3.0, help="wall seconds to run")
-    cluster.add_argument(
-        "--period", type=float, default=0.1, help="gossip period in seconds"
-    )
-    cluster.add_argument(
-        "--sample-period", type=float, default=0.25, help="estimate sampling period"
-    )
-    cluster.add_argument(
-        "--skew-ppm",
-        type=float,
-        default=0.0,
-        help="give node i a fixed clock skew of i*this many ppm",
-    )
-    cluster.add_argument(
-        "--drifting",
-        action="store_true",
-        help="give non-source nodes seeded piecewise-drifting clocks instead",
-    )
-    cluster.add_argument(
-        "--drift-ppm",
-        type=float,
-        default=200.0,
-        help="advertised drift band for --drifting clocks (default 200)",
-    )
-    cluster.add_argument(
-        "--crash",
-        metavar="PROC:STOP[:RESTART]",
-        action="append",
-        default=[],
-        help="fail-stop PROC at STOP elapsed seconds (restart at RESTART)",
-    )
+    add_cluster_flags(cluster, period=0.1)
     cluster.add_argument(
         "--crash-primary",
         metavar="STOP[:RESTART]",
         default=None,
         help="shortcut: fail-stop the primary server mid-load",
     )
-    cluster.add_argument("--seed", type=int, default=0, help="seed for jitter and clocks")
 
     serving = parser.add_argument_group("serving tier")
     serving.add_argument(
@@ -143,13 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--warmup", type=float, default=0.3, help="gossip seconds before the swarm starts"
     )
 
-    parser.add_argument("--out", help="archive the run document as JSON")
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="abort cleanly after this many wall seconds (partial archive, exit 124)",
-    )
+    add_death_flags(parser, out_help="archive the run document as JSON")
     parser.add_argument(
         "--require-sound",
         action="store_true",
@@ -163,8 +122,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.nodes < 2:
         print("error: --nodes must be at least 2", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
+    if bad_timeout(args):
         return 2
     names = [f"n{i}" for i in range(args.nodes)]
     server_count = args.nodes - 1 if args.servers is None else args.servers
@@ -177,9 +135,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     servers = tuple(names[1 : 1 + server_count])
     try:
-        crashes = [_parse_crash(text) for text in args.crash]
+        crashes = [parse_crash(text) for text in args.crash]
         if args.crash_primary is not None:
-            crashes.append(_parse_crash(f"{servers[0]}:{args.crash_primary}"))
+            crashes.append(parse_crash(f"{servers[0]}:{args.crash_primary}"))
         config = ServeLoadConfig(
             cluster=ClusterConfig(
                 processors=tuple(names),
@@ -215,12 +173,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    result, why = run_abortable(
+    result, death = run_to_death(
         lambda abort: run_serve_load(config, abort=abort), args.timeout
     )
-
-    if result.aborted:
-        print(f"aborted ({why}): partial evidence only", file=sys.stderr)
     unsound = result.unsound_accepted
     p99 = result.p99_error_bound()
     print(
@@ -261,8 +216,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.out, "w") as handle:
             json.dump(result.to_document(), handle)
         print(f"  archived -> {args.out}")
-    if result.aborted:
-        return abort_exit_code(why)
+    if death is not None:
+        return death
     if args.require_sound and (unsound or stranded):
         return 1
     return 0

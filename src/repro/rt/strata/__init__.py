@@ -15,13 +15,13 @@ existing runtime:
   :class:`FederationSpec` validating the inter-tier link policy
   (only anchors export, downstream tiers name upstream candidates,
   hop distances for the gradient scorecard).
-* :mod:`repro.rt.strata.delegation` - the delegation frame pair
-  (``dreq``/``deleg``, additive wire frames with never-raise decode),
-  the :class:`DelegationServer` riding core nodes (``hops=1``) and
-  border re-exports (``hops=2``, drift-widened), and the
-  :class:`AnchorLink` border client: Cristian adoption of upstream
-  bounds, staleness expiry, and accrual-detector-driven anchor
-  re-election over an ordered candidate list.
+* :mod:`repro.rt.strata.delegation` - the strata-specific remainder of
+  the Cristian exchange, which itself is :mod:`repro.rt.serve` and
+  :mod:`repro.rt.client` spoken over the ``dreq``/``deleg`` frame pair:
+  the :class:`DelegationServer` stamping ``hops=1`` on core nodes and
+  ``hops=2`` on border re-exports, the :class:`AnchorLink` border
+  client adding staleness expiry and the :class:`ElectionEvent` view of
+  a failover, and :func:`compose_delegated`.
 * :mod:`repro.rt.strata.tier` - :class:`TierRunner`: one tier is one
   :class:`~repro.rt.cluster.LiveCluster` (the border node is the tier's
   internal time source) plus its delegation endpoints; every sample
@@ -50,13 +50,10 @@ from .delegation import (
     ANCHOR_LINK_SUFFIX,
     DELEG_SUFFIX,
     AnchorLink,
-    AnchorLinkConfig,
-    AnchorLinkStats,
     DelegatedBound,
-    DelegationConfig,
     DelegationServer,
-    DelegationStats,
     ElectionEvent,
+    anchor_link_config,
     anchor_link_endpoint,
     compose_delegated,
     deleg_endpoint,
@@ -82,13 +79,10 @@ __all__ = [
     "ANCHOR_LINK_SUFFIX",
     "DELEG_SUFFIX",
     "AnchorLink",
-    "AnchorLinkConfig",
-    "AnchorLinkStats",
     "DelegatedBound",
-    "DelegationConfig",
     "DelegationServer",
-    "DelegationStats",
     "ElectionEvent",
+    "anchor_link_config",
     "anchor_link_endpoint",
     "compose_delegated",
     "deleg_endpoint",

@@ -27,7 +27,14 @@ import argparse
 import sys
 from typing import Dict, List, Optional
 
-from ..cli import abort_exit_code, run_abortable, shape_links
+from ..cli import (
+    add_cluster_flags,
+    add_death_flags,
+    bad_timeout,
+    parse_crash,
+    run_to_death,
+    shape_links,
+)
 from ..cluster import CrashSchedule
 from .federation import (
     FederationConfig,
@@ -68,23 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="line",
         help="downstream topology; t{k}n0 is the border (default line)",
     )
-    parser.add_argument(
-        "--transport",
-        choices=("loopback", "udp"),
-        default="loopback",
-        help="in-process transport kind (--procs always uses udp)",
+    add_cluster_flags(
+        parser,
+        period=0.25,
+        transport_help="in-process transport kind (--procs always uses udp)",
+        anchor="border",
     )
     parser.add_argument(
         "--procs",
         action="store_true",
         help="run each downstream tier in its own OS process over UDP",
-    )
-    parser.add_argument("--duration", type=float, default=3.0, help="wall seconds to run")
-    parser.add_argument(
-        "--period", type=float, default=0.25, help="gossip period in seconds"
-    )
-    parser.add_argument(
-        "--sample-period", type=float, default=0.25, help="estimate sampling period"
     )
     parser.add_argument(
         "--sync-period",
@@ -99,43 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="adopted bounds older than this stop being served (default 1.5)",
     )
     parser.add_argument(
-        "--skew-ppm",
-        type=float,
-        default=0.0,
-        help="give the i-th non-border node a fixed skew of i*this many ppm",
-    )
-    parser.add_argument(
-        "--drifting",
-        action="store_true",
-        help="give non-border nodes seeded piecewise-drifting clocks instead",
-    )
-    parser.add_argument(
-        "--drift-ppm",
-        type=float,
-        default=200.0,
-        help="advertised drift band for --drifting clocks (default 200)",
-    )
-    parser.add_argument(
-        "--crash",
-        metavar="PROC:STOP[:RESTART]",
-        action="append",
-        default=[],
-        help="fail-stop PROC at STOP elapsed seconds (restart at RESTART)",
-    )
-    parser.add_argument(
         "--crash-anchor",
         type=float,
         metavar="T",
         help="fail-stop the primary anchor (c1) at T elapsed seconds",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for jitter and clocks")
-    parser.add_argument("--out", help="archive the run as a serialize-v2 JSON document")
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        help="abort cleanly after this many wall seconds (partial archive, exit 124)",
-    )
+    add_death_flags(parser)
     parser.add_argument(
         "--require-sound",
         action="store_true",
@@ -202,14 +171,6 @@ def build_clock_plans(args, spec: FederationSpec) -> Dict[str, Dict]:
     return plans
 
 
-def _parse_crash(text: str) -> CrashSchedule:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ValueError(f"crash spec {text!r} is not PROC:STOP[:RESTART]")
-    restart = float(parts[2]) if len(parts) == 3 else None
-    return CrashSchedule(proc=parts[0], stop_at=float(parts[1]), restart_at=restart)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.core_nodes < 3:
@@ -218,12 +179,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.tier_nodes < 2 or args.tiers < 1:
         print("error: need at least one downstream tier of two nodes", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.timeout <= 0:
-        print("error: --timeout must be positive", file=sys.stderr)
+    if bad_timeout(args):
         return 2
     try:
         spec = build_federation_spec(args)
-        crashes = [_parse_crash(text) for text in args.crash]
+        crashes = [parse_crash(text) for text in args.crash]
         if args.crash_anchor is not None:
             crashes.append(CrashSchedule(proc="c1", stop_at=args.crash_anchor))
         config = FederationConfig(
@@ -243,12 +203,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     runner = run_federation_procs if args.procs else run_federation
-    result, why = run_abortable(
+    result, death = run_to_death(
         lambda abort: runner(config, abort=abort), args.timeout
     )
-
-    if result.aborted:
-        print(f"aborted ({why}): partial evidence only", file=sys.stderr)
     mode = "OS processes" if args.procs else config.transport
     print(
         f"{args.core_nodes}-core + {args.tiers}x{args.tier_nodes} federation "
@@ -292,8 +249,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.require_election and not result.elections:
         print("  NO-ELECTION: expected an anchor re-election", file=sys.stderr)
         failed = True
-    if result.aborted:
-        return abort_exit_code(why)
+    if death is not None:
+        return death
     if failed:
         return 1
     return 0

@@ -1,71 +1,57 @@
-"""Anchor delegation: export, adopt, compose, and re-elect.
+"""Anchor delegation: what the stratum hierarchy adds to the Cristian exchange.
 
-The hierarchy's one new protocol idea, built from pieces that already
-exist.  A :class:`DelegationServer` rides a synced node exactly like the
-Cristian serving tier (:mod:`repro.rt.serve`): its own transport
-endpoint, never-raise decode, nonce correlation, zero per-client state.
-It answers ``dreq`` frames with ``deleg`` frames carrying the node's
-source-time bounds plus the indirection count:
+The exchange itself - never-raise decode, nonce correlation, admission,
+staleness widening, ``[L, U + beta * rtt]`` adoption, accrual-driven
+rotation - is :class:`~repro.rt.serve.ServeNode` and
+:class:`~repro.rt.client.ServeClient`, spoken here over the
+``dreq``/``deleg`` frame pair.  This module holds only the
+strata-specific remainder:
 
-* on a **core** node the bounds come from the node's own estimator and
-  travel with ``hops=1`` (estimator -> consumer: one indirection);
-* on a downstream **border** the bounds come from the tier's adopted
-  upstream bound (a ``bound_source`` callable) and travel with
-  ``hops=2`` (estimator -> border -> consumer) - the ceiling the wire
-  format enforces, so the paper's ``K2 <= 2`` discipline holds *per
-  tier*: every consumer is at most two indirections from the nearest
-  tier's own time authority, and depth is carried honestly in
-  ``stratum`` instead of hidden in an unbounded hop count.
-
-An :class:`AnchorLink` is the border's client side: one Cristian round
-trip per ``sync_period`` against the current anchor, adopting
-``[L, U + beta * rtt]`` anchored at the border's receive local time
-(the same widening argument as :class:`~repro.rt.client.ServeClient`).
-The adopted bound *expires*: :meth:`AnchorLink.current` refuses to serve
-a bound older than ``max_age`` border-local seconds, so an anchor outage
-degrades the tier to unbounded external estimates instead of silently
-drift-rotting ones - which is exactly what makes downstream
-re-convergence measurable through ``reconvergence_after``.
-
-Re-election reuses the existing accrual detector
-(:class:`~repro.rt.client.AccrualHealth`): probe timeouts raise the
-suspicion score, and past ``failover_threshold`` the link rotates to the
-next candidate in its ordered list, recording an :class:`ElectionEvent`.
-Sheds (an unsynced anchor saying so) count as liveness, not failure.
-
-:func:`compose_delegated` is the soundness core: a tier-internal bound
-``[l, u]`` on the *border's local time* composed with a delegated bound
-anchored at border-local ``a0`` through the border clock's advertised
-drift.  Every step widens or drift-advances a sound interval, so the
-composed interval contains true source time whenever its inputs did.
+* **endpoint names** (``proc!deleg``, ``border!anchor``);
+* **the ``K2 <= 2`` hop rule.**  A :class:`DelegationServer` on a
+  **core** node exports the node's own estimator with ``hops=1``
+  (estimator -> consumer: one indirection); on a downstream **border**
+  it re-exports the tier's adopted upstream bound (a ``bound_source``)
+  with ``hops=2`` (estimator -> border -> consumer) - the ceiling the
+  wire format enforces at encode and decode, so the paper's ``K2 <= 2``
+  discipline holds *per tier*: every consumer is at most two
+  indirections from the nearest tier's own time authority, and depth is
+  carried honestly in ``stratum`` instead of hidden in an unbounded hop
+  count;
+* **expiry.**  An :class:`AnchorLink` (the border's client) refuses to
+  serve an adopted bound older than ``max_age`` border-local seconds,
+  so an anchor outage degrades the tier to unbounded external estimates
+  instead of silently drift-rotting ones - which is exactly what makes
+  downstream re-convergence measurable through ``reconvergence_after``;
+* **re-election** is the strata name for the client's failover: probe
+  timeouts raise the accrual score, past ``failover_threshold`` the link
+  rotates to the next candidate in its ordered list, and each rotation
+  reads back as an :class:`ElectionEvent`.  Sheds (an unsynced anchor
+  saying so) count as liveness, not failure;
+* :func:`compose_delegated`, the soundness core: a tier-internal bound
+  ``[l, u]`` on the *border's local time* composed with a delegated
+  bound anchored at border-local ``a0`` through the border clock's
+  advertised drift.  Every step widens or drift-advances a sound
+  interval, so the composed interval contains true source time whenever
+  its inputs did.
 """
 
 from __future__ import annotations
 
-import asyncio
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...core.errors import SimulationError
 from ...core.events import ProcessorId
 from ...core.intervals import ClockBound
 from ...core.specs import DriftSpec
-from ..client import AccrualHealth
-from ..clock import ClockSource, MonotonicClockSource, TimeBase
+from ..client import ClientConfig, ServeClient
+from ..clock import ClockSource, TimeBase
 from ..node import Node
+from ..serve import BoundSource, ServeConfig, ServeNode
 from ..transport import Transport
-from ..wire import (
-    MAX_DELEGATION_HOPS,
-    WIRE_CODECS,
-    WIRE_VERSION_BINARY,
-    Frame,
-    decode_frame,
-    deleg_frame,
-    dreq_frame,
-    encode_frame,
-    shed_frame,
-)
+from ..wire import MAX_DELEGATION_HOPS, deleg_frame, dreq_frame
 
 __all__ = [
     "DELEG_SUFFIX",
@@ -73,13 +59,10 @@ __all__ = [
     "deleg_endpoint",
     "deleg_owner",
     "anchor_link_endpoint",
-    "DelegationConfig",
-    "DelegationStats",
     "DelegationServer",
     "DelegatedBound",
     "ElectionEvent",
-    "AnchorLinkConfig",
-    "AnchorLinkStats",
+    "anchor_link_config",
     "AnchorLink",
     "compose_delegated",
 ]
@@ -111,73 +94,19 @@ def anchor_link_endpoint(proc: ProcessorId) -> ProcessorId:
 # -- server side -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DelegationConfig:
-    """Tunables of one delegation endpoint."""
-
-    #: estimator state older than this (local s) answers as degraded
-    stale_after: float = 1.0
-    #: drift allowance per stale local second; None -> the serving
-    #: clock's advertised worst deviation
-    degraded_rho: Optional[float] = None
-    #: shed retry hint while there is nothing finite to delegate
-    unsynced_retry_after: float = 0.25
-
-    def __post_init__(self):
-        if self.stale_after < 0:
-            raise SimulationError("stale_after must be non-negative")
-        if self.degraded_rho is not None and self.degraded_rho < 0:
-            raise SimulationError("degraded_rho must be non-negative")
-        if self.unsynced_retry_after < 0:
-            raise SimulationError("unsynced_retry_after must be non-negative")
-
-
-@dataclass
-class DelegationStats:
-    """Live counters of one delegation endpoint."""
-
-    dreqs: int = 0
-    replies: int = 0
-    degraded_replies: int = 0
-    #: shed verdicts by reason (only ``unsynced`` today)
-    shed: Dict[str, int] = field(default_factory=dict)
-    decode_errors: int = 0
-    rejected_frames: int = 0
-    #: requests silently dropped because the backing node was down
-    dropped_down: int = 0
-
-    @property
-    def shed_total(self) -> int:
-        return sum(self.shed.values())
-
-    def to_dict(self) -> Dict:
-        return {
-            "dreqs": self.dreqs,
-            "replies": self.replies,
-            "degraded_replies": self.degraded_replies,
-            "shed": dict(sorted(self.shed.items())),
-            "shed_total": self.shed_total,
-            "decode_errors": self.decode_errors,
-            "rejected_frames": self.rejected_frames,
-            "dropped_down": self.dropped_down,
-        }
-
-
-#: a bound source answers ``(bound, degraded, age)`` or None when unsynced
-BoundSource = Callable[[], Optional[Tuple[ClockBound, bool, float]]]
-
-
-class DelegationServer:
-    """One delegation endpoint riding a node, answering ``dreq`` frames.
+class DelegationServer(ServeNode):
+    """A :class:`ServeNode` answering ``dreq`` with ``deleg`` frames.
 
     Without a ``bound_source`` the server exports the node's own
-    estimator with ``hops=1`` (the core role, widened when stale or
-    quarantined exactly like :class:`~repro.rt.serve.ServeNode`).  With
-    one - a border re-exporting its :meth:`AnchorLink.composed_now` -
-    answers carry ``hops=2``, the ``K2`` ceiling.  Delegation traffic is
-    tier-to-tier and low-rate, so there is no admission control; the
-    answer is computed inline on the receive path.
+    estimator with ``hops=1`` (the core role).  With one - a border
+    re-exporting its :meth:`AnchorLink.composed_now` - answers carry
+    ``hops=2``, the ``K2`` ceiling.  Everything else, admission and
+    shedding included, is the serving tier's: a ``dreq`` flood is no
+    different from a ``probe`` flood.
     """
+
+    request_type = "dreq"
+    endpoint_of = staticmethod(deleg_endpoint)
 
     def __init__(
         self,
@@ -185,7 +114,7 @@ class DelegationServer:
         *,
         stratum: int,
         transport: Optional[Transport] = None,
-        config: Optional[DelegationConfig] = None,
+        config: Optional[ServeConfig] = None,
         bound_source: Optional[BoundSource] = None,
     ):
         if stratum < 0:
@@ -195,116 +124,10 @@ class DelegationServer:
                 "a downstream delegation server re-exports an adopted bound; "
                 "pass bound_source (e.g. AnchorLink.composed_now)"
             )
-        self.node = node
+        super().__init__(node, transport, config, bound_source)
         self.stratum = stratum
-        self.transport = transport if transport is not None else node.transport
-        self.config = config if config is not None else DelegationConfig()
-        self.bound_source = bound_source
         self.hops = 1 if bound_source is None else MAX_DELEGATION_HOPS
-        self.endpoint = deleg_endpoint(node.proc)
-        self.stats = DelegationStats()
-        self._running = False
-
-    @property
-    def running(self) -> bool:
-        return self._running
-
-    async def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.transport.register(self.endpoint, self._on_datagram)
-        ensure = getattr(self.transport, "ensure_endpoint", None)
-        if ensure is not None:
-            await ensure(self.endpoint)
-
-    async def stop(self) -> None:
-        self._running = False
-        self.transport.unregister(self.endpoint)
-
-    def _on_datagram(self, data: bytes) -> None:
-        answer = self.handle_dreq_bytes(data)
-        if answer is not None:
-            self.transport.send(self.endpoint, self._last_src, answer)
-
-    # -- synchronous core (also the benchmark surface) ---------------------------
-
-    def handle_dreq_bytes(self, data: bytes) -> Optional[bytes]:
-        """Decode + answer one delegation request synchronously.
-
-        Returns the ``deleg``/``shed`` bytes, or ``None`` for
-        undecodable or non-dreq input (counted, never raised) and for
-        requests arriving while the backing node is down.
-        """
-        result = decode_frame(data)
-        if result.error is not None:
-            self.stats.decode_errors += 1
-            return None
-        frame = result.frame
-        if frame.type != "dreq" or frame.dst != self.endpoint:
-            self.stats.rejected_frames += 1
-            return None
-        self.stats.dreqs += 1
-        if not self.node.running or not self._running:
-            self.stats.dropped_down += 1
-            return None
-        self._last_src = frame.src
-        # stateless per border: the answer echoes the request's codec
-        codec = "binary" if result.version == WIRE_VERSION_BINARY else "json"
-        return self._answer(frame, codec)
-
-    def _shed_bytes(self, frame: Frame, reason: str, codec: str = "json") -> bytes:
-        self.stats.shed[reason] = self.stats.shed.get(reason, 0) + 1
-        return encode_frame(
-            shed_frame(
-                self.endpoint,
-                frame.src,
-                frame.nonce,
-                retry_after=self.config.unsynced_retry_after,
-                reason=reason,
-            ),
-            codec,
-        )
-
-    def _answer(self, frame: Frame, codec: str = "json") -> bytes:
-        if self.bound_source is not None:
-            sourced = self.bound_source()
-            if sourced is None:
-                return self._shed_bytes(frame, "unsynced", codec)
-            bound, degraded, age = sourced
-            if not bound.is_bounded:
-                return self._shed_bytes(frame, "unsynced", codec)
-        else:
-            rt, bound = self.node.estimate_at_now()
-            if not bound.is_bounded:
-                return self._shed_bytes(frame, "unsynced", codec)
-            estimator = self.node.estimator
-            last = estimator.last_local_event
-            lt = self.node.clock.lt_at(rt)
-            age = max(0.0, lt - last.lt) if last is not None else 0.0
-            quarantined = bool(getattr(estimator, "degraded", False))
-            degraded = quarantined or age > self.config.stale_after
-            if degraded:
-                rho = self.config.degraded_rho
-                if rho is None:
-                    rho = self.node.clock.advertised.max_deviation
-                bound = bound.widen(rho * age, rho * age)
-        if degraded:
-            self.stats.degraded_replies += 1
-        self.stats.replies += 1
-        return encode_frame(
-            deleg_frame(
-                self.endpoint,
-                frame.src,
-                frame.nonce,
-                bound,
-                hops=self.hops,
-                stratum=self.stratum,
-                degraded=degraded,
-                age=age,
-            ),
-            codec,
-        )
+        self.answer_frame = partial(deleg_frame, hops=self.hops, stratum=stratum)
 
 
 # -- border side -----------------------------------------------------------------------
@@ -339,264 +162,85 @@ class ElectionEvent:
     new: ProcessorId
 
     def to_dict(self) -> Dict:
-        return {
-            "rt": self.rt,
-            "tier": self.tier,
-            "border": self.border,
-            "previous": self.previous,
-            "new": self.new,
-        }
+        return asdict(self)
 
 
-@dataclass(frozen=True)
-class AnchorLinkConfig:
-    """Static configuration of one border's upstream link."""
+def anchor_link_config(
+    border: ProcessorId,
+    anchors: Sequence[ProcessorId],
+    sync_period: float = 0.25,
+    **fields,
+) -> ClientConfig:
+    """The :class:`ClientConfig` of border ``border``'s upstream link.
 
-    #: the border processor this link serves
-    border: ProcessorId
-    #: ordered upstream candidates (processor names; endpoints derived)
-    anchors: Tuple[ProcessorId, ...]
-    #: delegation round-trip cadence (border local seconds)
-    sync_period: float = 0.25
-    probe_timeout: float = 0.25
-    #: accrual score at which the link elects the next candidate
-    failover_threshold: float = 3.0
-    #: adopted bound older than this (border local s) stops being served
-    max_age: float = 2.0
-    seed: int = 0
-    #: wire codec for delegation requests; the anchor echoes it back
-    codec: str = "binary"
-
-    def __post_init__(self):
-        if self.codec not in WIRE_CODECS:
-            raise SimulationError(f"unknown wire codec {self.codec!r}")
-        if not self.anchors:
-            raise SimulationError("an anchor link needs at least one candidate")
-        if len(set(self.anchors)) != len(self.anchors):
-            raise SimulationError("duplicate anchor candidates")
-        if self.border in self.anchors:
-            raise SimulationError("a border cannot anchor on itself")
-        if self.sync_period <= 0 or self.probe_timeout <= 0:
-            raise SimulationError("sync_period and probe_timeout must be positive")
-        if self.failover_threshold <= 0:
-            raise SimulationError("failover_threshold must be positive")
-        if self.max_age <= 0:
-            raise SimulationError("max_age must be positive")
+    ``anchors`` are the ordered upstream candidates (processor names;
+    endpoints derived).  The delegation cadence is fixed: the interval
+    rule and the backoff are both pinned to ``sync_period`` (border local
+    seconds).  Remaining ``fields`` pass through to the client config.
+    """
+    if border in anchors:
+        raise SimulationError("a border cannot anchor on itself")
+    return ClientConfig(
+        name=anchor_link_endpoint(border),
+        servers=tuple(deleg_endpoint(anchor) for anchor in anchors),
+        min_interval=sync_period,
+        max_interval=sync_period,
+        backoff_base=sync_period,
+        backoff_cap=sync_period,
+        **fields,
+    )
 
 
-@dataclass
-class AnchorLinkStats:
-    """Live counters of one anchor link."""
-
-    dreqs: int = 0
-    adopted: int = 0
-    degraded_adopted: int = 0
-    sheds: int = 0
-    timeouts: int = 0
-    elections: int = 0
-    #: current() calls refused because the adopted bound had expired
-    stale_refusals: int = 0
-    unmatched: int = 0
-    decode_errors: int = 0
-
-    def to_dict(self) -> Dict:
-        return {
-            "dreqs": self.dreqs,
-            "adopted": self.adopted,
-            "degraded_adopted": self.degraded_adopted,
-            "sheds": self.sheds,
-            "timeouts": self.timeouts,
-            "elections": self.elections,
-            "stale_refusals": self.stale_refusals,
-            "unmatched": self.unmatched,
-            "decode_errors": self.decode_errors,
-        }
-
-
-class AnchorLink:
-    """A border's client of its upstream anchors: adopt, expire, re-elect.
+class AnchorLink(ServeClient):
+    """A border's :class:`ServeClient` of its upstream anchors.
 
     Runs as a companion of the border node (same ``start``/``stop``
     protocol as :class:`~repro.rt.serve.ServeNode`), so a crashed border
-    takes its upstream link down with it.
+    takes its upstream link down with it.  On top of the client it
+    remembers what the adopted ``deleg`` frame said about its origin,
+    lets the adopted bound *expire*, and presents rotations as
+    :class:`ElectionEvent` records.
     """
+
+    request_frame = staticmethod(dreq_frame)
+    answer_type = "deleg"
 
     def __init__(
         self,
-        config: AnchorLinkConfig,
+        config: ClientConfig,
         transport: Transport,
         time_base: TimeBase,
         clock: Optional[ClockSource] = None,
         *,
+        max_age: float,
         tier: str = "",
     ):
-        self.config = config
+        if max_age <= 0:
+            raise SimulationError("max_age must be positive")
+        super().__init__(config, transport, time_base, clock)
+        #: adopted bound older than this (border local s) stops being served
+        self.max_age = max_age
         self.tier = tier
-        self.transport = transport
-        self.time_base = time_base
-        self.clock = clock if clock is not None else MonotonicClockSource()
-        self.endpoint = anchor_link_endpoint(config.border)
-        self.health = AccrualHealth()
-        self.stats = AnchorLinkStats()
-        self.adopted: Optional[DelegatedBound] = None
-        self.elections: List[ElectionEvent] = []
-        self._anchor_index = 0
-        self._nonce = 0
-        #: nonce -> (send lt, anchor endpoint probed, reply future)
-        self._pending: Dict[int, Tuple[float, ProcessorId, asyncio.Future]] = {}
-        self._rng = random.Random(config.seed)
-        self._task: Optional[asyncio.Task] = None
-        self._running = False
+        self.border = config.name.removesuffix(ANCHOR_LINK_SUFFIX)
 
     @property
     def anchor(self) -> ProcessorId:
         """The upstream processor currently anchored on."""
-        return self.config.anchors[self._anchor_index]
+        return deleg_owner(self.server)
 
     @property
-    def running(self) -> bool:
-        return self._running
-
-    def _now(self) -> Tuple[float, float]:
-        rt = self.time_base.elapsed()
-        return rt, self.clock.lt_at(rt)
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    async def start(self) -> None:
-        if self._running:
-            return
-        self._running = True
-        self.transport.register(self.endpoint, self._on_datagram)
-        ensure = getattr(self.transport, "ensure_endpoint", None)
-        if ensure is not None:
-            await ensure(self.endpoint)
-        self._task = asyncio.get_running_loop().create_task(self._sync_loop())
-
-    async def stop(self) -> None:
-        self._running = False
-        self.transport.unregister(self.endpoint)
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-        for _lt0, _anchor, future in self._pending.values():
-            if not future.done():
-                future.cancel()
-        self._pending.clear()
-
-    # -- receive path ------------------------------------------------------------
-
-    def _on_datagram(self, data: bytes) -> None:
-        result = decode_frame(data)
-        if result.error is not None:
-            self.stats.decode_errors += 1
-            return
-        frame = result.frame
-        if frame.type not in ("deleg", "shed") or frame.dst != self.endpoint:
-            self.stats.unmatched += 1
-            return
-        entry = self._pending.get(frame.nonce)
-        if entry is None or entry[1] != frame.src:
-            # expired nonce or an answer claiming a server this request
-            # never targeted: at-most-once, first matching answer wins
-            self.stats.unmatched += 1
-            return
-        _lt0, _anchor, future = self._pending.pop(frame.nonce)
-        if not future.done():
-            future.set_result(frame)
-
-    # -- sync loop ---------------------------------------------------------------
-
-    async def _sync_loop(self) -> None:
-        period = self.config.sync_period
-        while self._running:
-            await self._sync_once()
-            # jittered so many borders never resynchronize into a storm
-            await asyncio.sleep(period * (0.9 + 0.2 * self._rng.random()))
-
-    async def _sync_once(self) -> None:
-        """One delegation round trip against the current anchor."""
-        _rt0, lt0 = self._now()
-        nonce = self._nonce
-        self._nonce += 1
-        target = deleg_endpoint(self.anchor)
-        future = asyncio.get_running_loop().create_future()
-        self._pending[nonce] = (lt0, target, future)
-        self.stats.dreqs += 1
-        self.transport.send(
-            self.endpoint,
-            target,
-            encode_frame(dreq_frame(self.endpoint, target, nonce), self.config.codec),
-        )
-        try:
-            frame = await asyncio.wait_for(future, timeout=self.config.probe_timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(nonce, None)
-            self._on_timeout()
-            return
-        except asyncio.CancelledError:
-            self._pending.pop(nonce, None)
-            raise
-        if frame.type == "shed":
-            # the anchor is alive but unsynced: liveness without progress
-            self.stats.sheds += 1
-            self.health.on_alive()
-            return
-        self._adopt(frame, lt0)
-
-    def _adopt(self, frame: Frame, lt0: float) -> None:
-        rt1, lt1 = self._now()
-        rtt_lt = max(0.0, lt1 - lt0)
-        # the anchor's interval held at an instant inside [lt0, lt1]; the
-        # source runs at real time and at most beta * rtt real seconds
-        # have passed since, so only the upper endpoint needs widening
-        beta = self.clock.advertised.beta
-        accepted = ClockBound(frame.bound.lower, frame.bound.upper + beta * rtt_lt)
-        self.adopted = DelegatedBound(
-            bound=accepted,
-            anchor_lt=lt1,
-            anchor_rt=rt1,
-            hops=frame.hops,
-            stratum=frame.stratum,
-            anchor=self.anchor,
-            degraded=frame.degraded,
-        )
-        self.stats.adopted += 1
-        if frame.degraded:
-            self.stats.degraded_adopted += 1
-        self.health.on_reply(lt1)
-
-    def _on_timeout(self) -> None:
-        self.stats.timeouts += 1
-        self.health.on_failure()
-        if len(self.config.anchors) < 2:
-            return
-        _rt, lt = self._now()
-        if self.health.score(lt) >= self.config.failover_threshold:
-            self._elect()
-
-    def _elect(self) -> None:
-        """Rotate to the next candidate in the ordered succession list."""
-        rt, _lt = self._now()
-        previous = self.anchor
-        self._anchor_index = (self._anchor_index + 1) % len(self.config.anchors)
-        self.stats.elections += 1
-        self.elections.append(
+    def elections(self) -> List[ElectionEvent]:
+        """Every rotation so far, in order, as the strata layer names it."""
+        return [
             ElectionEvent(
                 rt=rt,
                 tier=self.tier,
-                border=self.config.border,
-                previous=previous,
-                new=self.anchor,
+                border=self.border,
+                previous=deleg_owner(previous),
+                new=deleg_owner(new),
             )
-        )
-        self.health.reset()
-
-    # -- introspection -----------------------------------------------------------
+            for rt, previous, new in self.failover_events
+        ]
 
     def current(self) -> Optional[DelegatedBound]:
         """The adopted bound, or ``None`` once it has aged past ``max_age``.
@@ -606,27 +250,35 @@ class AnchorLink:
         forever; refusing instead makes the tier's external estimates
         unbounded, which ``reconvergence_after`` can see and time.
         """
-        if self.adopted is None:
+        if self._current is None:
             return None
+        anchor_lt, sample, frame = self._current
         _rt, lt = self._now()
-        if lt - self.adopted.anchor_lt > self.config.max_age:
+        if lt - anchor_lt > self.max_age:
             self.stats.stale_refusals += 1
             return None
-        return self.adopted
+        return DelegatedBound(
+            bound=sample.bound,
+            anchor_lt=anchor_lt,
+            anchor_rt=sample.rt,
+            hops=frame.hops,
+            stratum=frame.stratum,
+            anchor=deleg_owner(sample.server),
+            degraded=sample.degraded,
+        )
 
     def composed_now(self) -> Optional[Tuple[ClockBound, bool, float]]:
         """The adopted bound advanced to now: a re-export ``bound_source``.
 
         Returns ``(bound, degraded, age)`` in the shape
-        :class:`DelegationServer` expects, or ``None`` while nothing
-        fresh is adopted.
+        :class:`~repro.rt.serve.ServeNode` expects, or ``None`` while
+        nothing fresh is adopted.
         """
         delegated = self.current()
         if delegated is None:
             return None
-        _rt, lt = self._now()
-        age = max(0.0, lt - delegated.anchor_lt)
-        bound = delegated.bound.advance(age, self.clock.advertised)
+        rt, bound = self.current_bound()
+        age = max(0.0, self.clock.lt_at(rt) - delegated.anchor_lt)
         return bound, delegated.degraded, age
 
 

@@ -66,16 +66,11 @@ from ...sim.serialize import (
     trace_to_dict,
 )
 from ...sim.trace import ExecutionTrace
+from ..client import ClientStats
 from ..clock import ClockSource, ModelClockSource, MonotonicClockSource, SkewedClockSource, TimeBase
 from ..cluster import CrashSchedule, RtRunResult
-from .delegation import (
-    AnchorLinkStats,
-    DelegationConfig,
-    DelegationStats,
-    ElectionEvent,
-    anchor_link_endpoint,
-    deleg_endpoint,
-)
+from ..serve import ServeConfig, ServeStats
+from .delegation import ElectionEvent, anchor_link_endpoint, deleg_endpoint
 from .gradient import gradient_scorecard
 from .membership import FederationSpec, PeerDirectory, TierSpec, build_transport
 from .tier import STRATA_CHANNEL, TierConfig, TierResult, TierRunner
@@ -197,7 +192,10 @@ class FederationConfig:
             sample_period=self.sample_period,
             clocks=clocks,
             crashes=tuple(c for c in self.crashes if c.proc in tier.processors),
-            delegation=DelegationConfig(stale_after=self.stale_after),
+            # an unsynced anchor asks its borders back at their own cadence
+            delegation=ServeConfig(
+                stale_after=self.stale_after, unsynced_retry_after=self.sync_period
+            ),
             sync_period=self.sync_period,
             probe_timeout=self.probe_timeout,
             failover_threshold=self.failover_threshold,
@@ -468,33 +466,6 @@ def _samples_from_dicts(rows: Sequence[Dict]) -> List[EstimateSample]:
     ]
 
 
-def _deleg_stats_from_dict(data: Dict) -> DelegationStats:
-    return DelegationStats(
-        dreqs=int(data.get("dreqs", 0)),
-        replies=int(data.get("replies", 0)),
-        degraded_replies=int(data.get("degraded_replies", 0)),
-        shed=dict(data.get("shed", {})),
-        decode_errors=int(data.get("decode_errors", 0)),
-        rejected_frames=int(data.get("rejected_frames", 0)),
-        dropped_down=int(data.get("dropped_down", 0)),
-    )
-
-
-def _anchor_stats_from_dict(data: Dict) -> AnchorLinkStats:
-    fields = (
-        "dreqs",
-        "adopted",
-        "degraded_adopted",
-        "sheds",
-        "timeouts",
-        "elections",
-        "stale_refusals",
-        "unmatched",
-        "decode_errors",
-    )
-    return AnchorLinkStats(**{name: int(data.get(name, 0)) for name in fields})
-
-
 def tier_result_from_payload(payload: Dict) -> TierResult:
     """Rebuild a child tier's :class:`TierResult` from its STRATA-DOC."""
     doc = payload["document"]
@@ -516,9 +487,9 @@ def tier_result_from_payload(payload: Dict) -> TierResult:
         border=info["border"],
         run=run,
         elections=[ElectionEvent(**event) for event in info.get("elections", [])],
-        anchor_stats=_anchor_stats_from_dict(anchor) if anchor else None,
+        anchor_stats=ClientStats.from_dict(anchor) if anchor else None,
         delegation_stats={
-            proc: _deleg_stats_from_dict(stats)
+            proc: ServeStats.from_dict(stats)
             for proc, stats in info.get("delegation", {}).items()
         },
         final_bounds={

@@ -42,19 +42,18 @@ from ...core.specs import TransitSpec
 from ...sim.serialize import _num
 from ...sim.faults import RetransmitPolicy
 from ...sim.runner import EstimateSample
+from ..client import ClientStats
 from ..clock import ClockSource, TimeBase
 from ..cluster import ClusterConfig, CrashSchedule, LiveCluster, RtRunResult
 from ..node import Node
+from ..serve import ServeConfig, ServeStats
 from ..transport import Transport
 from .delegation import (
     AnchorLink,
-    AnchorLinkConfig,
-    AnchorLinkStats,
     DelegatedBound,
-    DelegationConfig,
     DelegationServer,
-    DelegationStats,
     ElectionEvent,
+    anchor_link_config,
     anchor_link_endpoint,
     compose_delegated,
     deleg_endpoint,
@@ -81,7 +80,8 @@ class TierConfig:
     clocks: Mapping[ProcessorId, ClockSource] = field(default_factory=dict)
     retransmit: RetransmitPolicy = field(default_factory=RetransmitPolicy)
     crashes: Tuple[CrashSchedule, ...] = ()
-    delegation: DelegationConfig = field(default_factory=DelegationConfig)
+    #: the delegation endpoints' serving knobs (admission, staleness)
+    delegation: ServeConfig = field(default_factory=ServeConfig)
     #: anchor-link knobs (stratum > 0 tiers)
     sync_period: float = 0.25
     probe_timeout: float = 0.25
@@ -120,8 +120,8 @@ class TierResult:
     border: ProcessorId
     run: RtRunResult
     elections: List[ElectionEvent]
-    anchor_stats: Optional[AnchorLinkStats]
-    delegation_stats: Dict[ProcessorId, DelegationStats]
+    anchor_stats: Optional[ClientStats]
+    delegation_stats: Dict[ProcessorId, ServeStats]
     #: each node's final event-anchored bound - survives the trip through
     #: a child process's STRATA-DOC, so Theorem 2.1 oracle parity can be
     #: checked against the merged evidence in the parent
@@ -176,18 +176,18 @@ class TierRunner:
         if self.tier.stratum > 0:
             border = self.tier.border_proc
             self.anchor_link = AnchorLink(
-                AnchorLinkConfig(
-                    border=border,
-                    anchors=self.tier.anchors,
+                anchor_link_config(
+                    border,
+                    self.tier.anchors,
                     sync_period=config.sync_period,
                     probe_timeout=config.probe_timeout,
                     failover_threshold=config.failover_threshold,
-                    max_age=config.max_age,
                     seed=config.seed,
                 ),
                 transport,
                 time_base,
                 self.cluster.by_name[border].clock,
+                max_age=config.max_age,
                 tier=self.tier.name,
             )
             self.cluster.attach_companion(border, self.anchor_link)
@@ -258,7 +258,7 @@ class TierRunner:
             stratum=self.tier.stratum,
             border=self.tier.border_proc,
             run=run,
-            elections=list(self.anchor_link.elections) if self.anchor_link else [],
+            elections=self.anchor_link.elections if self.anchor_link else [],
             anchor_stats=self.anchor_link.stats if self.anchor_link else None,
             delegation_stats={
                 proc: server.stats for proc, server in self.deleg_servers.items()

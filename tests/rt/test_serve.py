@@ -33,7 +33,7 @@ from repro.rt.clock import MonotonicClockSource, SkewedClockSource, TimeBase
 from repro.rt.cluster import ClusterConfig, CrashSchedule, LiveCluster
 from repro.rt.loadgen import (
     ServeLoadConfig,
-    _percentile,
+    percentile,
     run_serve_load,
     run_serve_load_sync,
 )
@@ -167,11 +167,11 @@ class TestConfigValidation:
         assert serve_owner("!serve") is None
 
     def test_percentile(self):
-        assert _percentile([], 99.0) is None
-        assert _percentile([5.0], 99.0) == 5.0
+        assert percentile([], 99.0) is None
+        assert percentile([5.0], 99.0) == 5.0
         values = [float(i) for i in range(1, 101)]
-        assert _percentile(values, 99.0) == 99.0
-        assert _percentile(values, 50.0) == 50.0
+        assert percentile(values, 99.0) == 99.0
+        assert percentile(values, 50.0) == 50.0
 
 
 class TestAccrualHealth:

@@ -10,9 +10,10 @@ Load-bearing assertions:
   exports);
 * ``compose_delegated`` advances adopted bounds through the border's
   advertised drift with the correct sign handling and never inverts;
-* a ``DelegationServer``'s synchronous core attributes everything:
-  garbage, misaddressed frames, requests against a down node, and an
-  unsynced estimator (shed, not served);
+* a ``DelegationServer`` stamps the ``K2`` hop count and an
+  ``AnchorLink`` expires and re-elects (everything the two share with
+  the serving tier is asserted over both frame pairs in
+  ``test_exchange.py``);
 * an in-process loopback federation converges to sound bounded external
   estimates, survives the primary anchor's crash through re-election,
   and archives a document that ``load_run`` accepts with the gradient
@@ -38,7 +39,6 @@ from repro.rt.loadgen import percentile
 from repro.rt.node import Node, NodeConfig
 from repro.rt.strata import (
     AnchorLink,
-    AnchorLinkConfig,
     DelegatedBound,
     DelegationServer,
     FederationConfig,
@@ -46,6 +46,7 @@ from repro.rt.strata import (
     K2_MAX_HOPS,
     PeerDirectory,
     TierSpec,
+    anchor_link_config,
     compose_delegated,
     deleg_endpoint,
     deleg_owner,
@@ -361,43 +362,11 @@ class TestDelegationServerUnit:
         with pytest.raises(SimulationError):
             self._server(stratum=1)
 
-    def test_garbage_counted_never_raised(self):
-        server = self._server()
-        assert server.handle_dreq_bytes(b"junk") is None
-        assert server.stats.decode_errors == 1
-
-    def test_misaddressed_and_wrong_type_rejected(self):
-        server = self._server()
-        wrong_dst = encode_frame(dreq_frame("t1n0!anchor", "c9!deleg", 0))
-        assert server.handle_dreq_bytes(wrong_dst) is None
-        not_dreq = encode_frame(
-            deleg_frame("x", server.endpoint, 0, ClockBound(1.0, 2.0), hops=1, stratum=0)
-        )
-        assert server.handle_dreq_bytes(not_dreq) is None
-        assert server.stats.rejected_frames == 2
-        assert server.stats.dreqs == 0
-
-    def test_down_node_drops_request(self):
-        server = self._server()
-        server.node._running = False
-        assert server.handle_dreq_bytes(self._dreq(server)) is None
-        assert server.stats.dropped_down == 1
-
-    def test_unsynced_estimator_sheds(self):
-        server = self._server()  # fresh estimator: honestly unbounded
-        answer = server.handle_dreq_bytes(self._dreq(server, nonce=5))
-        decoded = decode_frame(answer)
-        assert decoded.error is None
-        assert decoded.frame.type == "shed"
-        assert decoded.frame.reason == "unsynced"
-        assert decoded.frame.nonce == 5
-        assert server.stats.shed_total == 1
-
     def test_bound_source_serves_at_k2_hops(self):
         server = self._server(
             stratum=1, bound_source=lambda: (ClockBound(5.0, 5.2), False, 0.05)
         )
-        decoded = decode_frame(server.handle_dreq_bytes(self._dreq(server)))
+        decoded = decode_frame(server.handle_probe_bytes(self._dreq(server)))
         assert decoded.error is None
         frame = decoded.frame
         assert frame.type == "deleg"
@@ -408,7 +377,7 @@ class TestDelegationServerUnit:
 
     def test_stale_bound_source_sheds(self):
         server = self._server(stratum=1, bound_source=lambda: None)
-        decoded = decode_frame(server.handle_dreq_bytes(self._dreq(server)))
+        decoded = decode_frame(server.handle_probe_bytes(self._dreq(server)))
         assert decoded.frame.type == "shed"
         assert decoded.frame.reason == "unsynced"
 
@@ -416,28 +385,39 @@ class TestDelegationServerUnit:
 class TestAnchorLinkUnit:
     def _link(self, anchors=("c1", "c2")):
         return AnchorLink(
-            AnchorLinkConfig(border="t1n0", anchors=anchors),
+            anchor_link_config("t1n0", anchors),
             LoopbackTransport(),
             TimeBase(),
+            max_age=2.0,
             tier="tier1",
         )
 
     def test_config_validation(self):
         with pytest.raises(SimulationError):
-            AnchorLinkConfig(border="b", anchors=())
+            anchor_link_config("b", ())
         with pytest.raises(SimulationError):
-            AnchorLinkConfig(border="b", anchors=("b", "c"))
+            anchor_link_config("b", ("b", "c"))
         with pytest.raises(SimulationError):
-            AnchorLinkConfig(border="b", anchors=("c", "c"))
+            anchor_link_config("b", ("c", "c"))
+        with pytest.raises(SimulationError):
+            AnchorLink(
+                anchor_link_config("b", ("c",)), LoopbackTransport(), TimeBase(), max_age=0.0
+            )
+
+    def test_link_is_a_fixed_cadence_client_of_delegation_endpoints(self):
+        config = anchor_link_config("t1n0", ("c1", "c2"), sync_period=0.15)
+        assert config.name == "t1n0!anchor"
+        assert config.servers == ("c1!deleg", "c2!deleg")
+        assert config.sync_interval(0.0) == config.sync_interval(1e9) == 0.15
 
     def test_election_rotates_succession(self):
         link = self._link()
         assert link.anchor == "c1"
-        link._elect()
+        link._failover()
         assert link.anchor == "c2"
-        link._elect()
+        link._failover()
         assert link.anchor == "c1"  # wraps around the candidate list
-        assert link.stats.elections == 2
+        assert link.stats.failovers == 2
         assert [(e.previous, e.new) for e in link.elections] == [
             ("c1", "c2"),
             ("c2", "c1"),
@@ -448,21 +428,18 @@ class TestAnchorLinkUnit:
         link = self._link(anchors=("c1",))
         for _ in range(20):
             link._on_timeout()
-        assert link.stats.elections == 0
+        assert link.elections == []
         assert link.stats.timeouts == 20
 
     def test_current_expires_after_max_age(self):
         link = self._link()
-        stale_lt = link._now()[1] - link.config.max_age - 1.0
-        link.adopted = DelegatedBound(
-            bound=ClockBound(1.0, 1.1),
-            anchor_lt=stale_lt,
-            anchor_rt=stale_lt,
-            hops=1,
-            stratum=0,
-            anchor="c1",
-            degraded=False,
+        frame = deleg_frame(
+            link.server, link.name, 0, ClockBound(1.0, 1.1), hops=1, stratum=0
         )
+        link._adopt(frame, link._now()[1])
+        assert link.current().anchor == "c1"
+        anchor_lt, sample, _frame = link._current
+        link._current = (anchor_lt - link.max_age - 1.0, sample, frame)
         assert link.current() is None
         assert link.composed_now() is None
         assert link.stats.stale_refusals == 2

@@ -59,3 +59,32 @@ def test_all_examples_present():
         "why_this_wide.py",
         "live_cluster.py",
     } <= found
+
+
+@pytest.mark.parametrize("doc", ["API.md", "RUNTIME.md", "GLOSSARY.md"])
+def test_documented_names_exist(doc):
+    """Every back-ticked CamelCase name in the docs is still in ``src/repro``.
+
+    A rename or deletion must update the docs in the same change; the
+    check is textual on purpose (a name may be a class, an exception, a
+    type alias or a dataclass field's owner).  A ``path::Name`` span is
+    looked up in the file it names instead.
+    """
+    import re
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    text = (root / "docs" / doc).read_text()
+    camel = re.compile(r"\b[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b")
+    source = "\n".join(
+        path.read_text() for path in sorted((root / "src" / "repro").rglob("*.py"))
+    )
+    checked, dangling = 0, []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        path, sep, _rest = span.partition("::")
+        corpus = (root / path).read_text() if sep else source
+        for name in camel.findall(span):
+            checked += 1
+            if not re.search(rf"\b{name}\b", corpus):
+                dangling.append(name)
+    assert checked, f"no CamelCase names found in {doc}"
+    assert dangling == [], f"{doc} names nothing in the source defines: {sorted(set(dangling))}"
