@@ -12,13 +12,29 @@ many-frames-per-datagram path that `Node._flush_outbox` emits and
 The 48-record payload mirrors a busy gossip period: six processors,
 interleaved sequences, one loss flag - large enough that the payload
 body dominates, small enough to stay under the coalescing threshold.
+
+Payload-heavy frames hide the *per-frame* cost (type dispatch, field
+rules, frame materialisation), which is all a serving-tier probe pays:
+``test_probe_marshalling`` times the six frame operations of one
+probe/reply exchange and ``test_ack_round_trip`` the smallest gossip
+frame, so a slower walk of the frame schema shows up in
+``bench-compare`` instead of only in the end-to-end benchmark.
 """
 
 import pytest
 
 from repro.core.events import Event, EventId, EventKind
 from repro.core.history import HistoryPayload
-from repro.rt.wire import decode_frame, decode_frames, encode_frame, sync_frame
+from repro.core.intervals import ClockBound
+from repro.rt.wire import (
+    ack_frame,
+    decode_frame,
+    decode_frames,
+    encode_frame,
+    probe_frame,
+    reply_frame,
+    sync_frame,
+)
 
 
 def _sync_frame(n_records=48, n_procs=6):
@@ -68,6 +84,32 @@ def test_coalesced_flush_decode(benchmark, codec):
         return count
 
     assert benchmark.pedantic(drain, iterations=10, rounds=200, warmup_rounds=5) == 8
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_probe_marshalling(benchmark, codec):
+    """The frame work of one Cristian exchange, client and server side:
+    build, encode and decode the probe, then the same for its reply."""
+    bound = ClockBound(1.25, 1.75)
+
+    def exchange():
+        probe = decode_frame(encode_frame(probe_frame("c0", "n1!serve", 42), codec)).frame
+        answer = reply_frame(probe.dst, probe.src, probe.nonce, bound, age=0.5)
+        return decode_frame(encode_frame(answer, codec))
+
+    result = benchmark.pedantic(exchange, iterations=50, rounds=300, warmup_rounds=5)
+    assert result.ok and (result.frame.nonce, result.frame.bound) == (42, bound)
+
+
+@pytest.mark.parametrize("codec", ["json", "binary"])
+def test_ack_round_trip(benchmark, codec):
+    """Build + encode + decode the smallest gossip frame."""
+
+    def round_trip():
+        return decode_frame(encode_frame(ack_frame("n2", "n1", 17), codec))
+
+    result = benchmark.pedantic(round_trip, iterations=100, rounds=300, warmup_rounds=5)
+    assert result.ok and result.frame.seq == 17
 
 
 def test_binary_wire_size_ratio():

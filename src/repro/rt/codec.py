@@ -14,26 +14,15 @@ zlib-compressed remainder, and ``packed`` is::
     type u8                     index into FRAME_TYPES
     strings                     varint count, then varint-length utf8 each
     src varint, dst varint      string-table indices
-    <per-type fields>           see below
+    <per-type fields>           the schema's, in order
     meta                        varint-length strict-JSON blob ('' = {})
 
 Integers are unsigned LEB128 varints; signed quantities use zigzag.
-Per-type fields:
-
-* ``hello``/``join`` - nothing beyond the meta trailer.
-* ``ack`` - ``seq`` varint.
-* ``sync`` - ``seq`` varint, ``lt`` f64, the packed history payload, and
-  a ``boot`` presence byte followed by a varint-length JSON blob of
-  ``BootstrapSnapshot.to_dict()`` when present.  Bootstrap snapshots ride
-  one frame per join handshake - a cold path - so they stay JSON inside
-  the binary body rather than doubling the packed surface.
-* ``probe``/``dreq`` - ``nonce`` varint.
-* ``reply`` - ``nonce`` varint, ``lower``/``upper`` f64, ``degraded``
-  u8, ``age`` f64.
-* ``deleg`` - the ``reply`` fields plus ``hops`` u8 and ``stratum``
-  varint.
-* ``shed`` - ``nonce`` varint, ``retry_after`` f64, ``reason`` string
-  index.
+``<per-type fields>`` are the fields of :data:`repro.rt.wire.FRAME_SCHEMA`
+in table order, each in the binary spelling of its kind (``_BINARY``
+below; the rendered table is in ``docs/RUNTIME.md``, "Frame fields").
+There are no keys and no optional fields - only ``boot`` has an absent
+form, a zero presence byte.
 
 The history payload is where the compaction pays: records are a packed
 event array with **delta-encoded** ``seq`` (zigzag varint of the running
@@ -50,10 +39,11 @@ Bodies larger than :data:`COMPRESS_THRESHOLD` are zlib-compressed when
 that actually helps; decompression is bounded by ``MAX_BODY_BYTES`` so a
 hostile peer cannot smuggle a decompression bomb past the frame cap.
 
-**Decoding never raises** and mirrors the JSON decoder's taxonomy:
-structural failures are ``bad-frame`` (with the claimed ``src`` once the
-string table and envelope parsed), payload records that fail validation
-are ``bad-payload``, snapshot blobs ``bad-boot``.  Encode/decode is
+**Decoding never raises** and shares the JSON decoder's taxonomy, because
+it applies the same field rules: structural failures and refused fields
+are ``bad-frame`` (with the claimed ``src`` once the string table and
+envelope parsed), payload records that fail validation are
+``bad-payload``, snapshot blobs ``bad-boot``.  Encode/decode is
 strictly symmetric: ``decode(encode(f)).frame == f`` for every frame the
 constructors in :mod:`repro.rt.wire` can build, which the differential
 fuzz suite (:mod:`tests.rt.test_codec`) enforces against the JSON round
@@ -72,16 +62,19 @@ from ..core.bootstrap import BootstrapSnapshot
 from ..core.errors import ProtocolError
 from ..core.events import Event, EventId, EventKind
 from ..core.history import HistoryPayload
-from ..core.intervals import ClockBound
 from .wire import (
     FRAME_TYPES,
-    MAGIC,
     MAX_BODY_BYTES,
-    MAX_DELEGATION_HOPS,
     WIRE_VERSION_BINARY,
     DecodeResult,
+    FieldRefused,
     Frame,
-    WireError,
+    bound_of,
+    framed,
+    make_frame,
+    rejected,
+    resolve_schema,
+    strict_json,
 )
 
 __all__ = [
@@ -94,14 +87,8 @@ __all__ = [
 #: them); small frames skip the codec round trip entirely
 COMPRESS_THRESHOLD = 1024
 
-_HEADER = struct.Struct(">2sBI")
 _F64 = struct.Struct(">d")
-_U64 = struct.Struct(">Q")
-
-_TYPE_INDEX = {name: i for i, name in enumerate(FRAME_TYPES)}
-
-_KIND_CODE = {EventKind.SEND: 0, EventKind.RECEIVE: 1, EventKind.INTERNAL: 2}
-_KIND_FROM_CODE = {code: kind for kind, code in _KIND_CODE.items()}
+_F64_PAIR = struct.Struct(">dd")
 
 #: flags-byte bits
 _FLAG_ZLIB = 0x01
@@ -114,6 +101,8 @@ _NEG_INF = -math.inf
 
 
 def _put_varint(out: bytearray, value: int) -> None:
+    if value < 0:  # the loop below would never terminate
+        raise ProtocolError(f"a varint is unsigned, got {value}")
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -133,12 +122,14 @@ class _Truncated(Exception):
 
 
 class _Reader:
-    __slots__ = ("data", "pos", "end")
+    __slots__ = ("data", "pos", "end", "strings")
 
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
         self.end = len(data)
+        #: the frame's string table, once parsed
+        self.strings: List[str] = []
 
     def varint(self) -> int:
         data, pos, end = self.data, self.pos, self.end
@@ -157,10 +148,6 @@ class _Reader:
                 raise _Truncated("varint overflow")
         self.pos = pos
         return result
-
-    def zigzag(self) -> int:
-        raw = self.varint()
-        return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1)
 
     def u8(self) -> int:
         if self.pos >= self.end:
@@ -186,11 +173,14 @@ class _Reader:
     def blob(self) -> bytes:
         return self.raw(self.varint())
 
+    def string(self) -> str:
+        return _string_at(self.strings, self.varint())
+
     def done(self) -> bool:
         return self.pos == self.end
 
 
-# -- encode ----------------------------------------------------------------------------
+# -- payload and blobs: encode ---------------------------------------------------------
 
 
 class _StringTable:
@@ -292,107 +282,12 @@ def _pack_payload(out: bytearray, table: _StringTable, payload: HistoryPayload) 
 
 
 def _json_blob(out: bytearray, document) -> None:
-    try:
-        encoded = json.dumps(document, separators=(",", ":"), allow_nan=False).encode()
-    except ValueError as exc:
-        raise ProtocolError(f"frame body is not strict-JSON-safe: {exc}") from None
+    encoded = strict_json(document)
     _put_varint(out, len(encoded))
     out.extend(encoded)
 
 
-def encode_frame_binary(frame: Frame) -> bytes:
-    """Serialize ``frame`` as a version-3 binary frame.
-
-    Raises :class:`ProtocolError` on local misuse (an oversized body, a
-    non-JSON-safe meta) exactly like the JSON encoder.
-    """
-    table = _StringTable()
-    packed = bytearray()
-    src_idx = table.add(frame.src)
-    dst_idx = table.add(frame.dst)
-    fields = bytearray()
-    ftype = frame.type
-    if ftype == "ack":
-        fields_seq = frame.seq
-        if fields_seq is None:
-            raise ProtocolError("ack frames need a seq")
-        _put_varint(fields, fields_seq)
-    elif ftype == "sync":
-        if frame.seq is None or frame.lt is None or frame.payload is None:
-            raise ProtocolError("sync frames need seq, lt, and a payload")
-        _put_varint(fields, frame.seq)
-        fields.extend(_F64.pack(frame.lt))
-        _pack_payload(fields, table, frame.payload)
-        if frame.boot is not None:
-            fields.append(1)
-            _json_blob(fields, frame.boot.to_dict())
-        else:
-            fields.append(0)
-    elif ftype in ("probe", "dreq"):
-        _put_varint(fields, _require_nonce(frame))
-    elif ftype in ("reply", "deleg"):
-        if frame.bound is None:
-            raise ProtocolError(f"{ftype} frames need a bound")
-        _put_varint(fields, _require_nonce(frame))
-        fields.extend(_F64.pack(frame.bound.lower))
-        fields.extend(_F64.pack(frame.bound.upper))
-        fields.append(1 if frame.degraded else 0)
-        fields.extend(_F64.pack(frame.age if frame.age is not None else 0.0))
-        if ftype == "deleg":
-            if frame.hops is None or frame.stratum is None:
-                raise ProtocolError("deleg frames need hops and stratum")
-            fields.append(frame.hops)
-            _put_varint(fields, frame.stratum)
-    elif ftype == "shed":
-        if frame.retry_after is None or not frame.reason:
-            raise ProtocolError("shed frames need retry_after and a reason")
-        _put_varint(fields, _require_nonce(frame))
-        fields.extend(_F64.pack(frame.retry_after))
-        _put_varint(fields, table.add(frame.reason))
-    elif ftype not in ("hello", "join"):
-        raise ProtocolError(f"unknown frame type {ftype!r}")
-    # string table first (it is only complete once the fields packed)
-    packed.append(_TYPE_INDEX[ftype])
-    table.emit(packed)
-    _put_varint(packed, src_idx)
-    _put_varint(packed, dst_idx)
-    packed.extend(fields)
-    if frame.meta:
-        _json_blob(packed, dict(frame.meta))
-    else:
-        _put_varint(packed, 0)
-    body = bytes(packed)
-    flags = 0
-    if len(body) > COMPRESS_THRESHOLD:
-        squeezed = zlib.compress(body, 6)
-        if len(squeezed) < len(body):
-            body = squeezed
-            flags |= _FLAG_ZLIB
-    body = bytes([flags]) + body
-    if len(body) > MAX_BODY_BYTES:
-        raise ProtocolError(
-            f"frame body of {len(body)} bytes exceeds the {MAX_BODY_BYTES} cap"
-        )
-    return _HEADER.pack(MAGIC, WIRE_VERSION_BINARY, len(body)) + body
-
-
-def _require_nonce(frame: Frame) -> int:
-    if frame.nonce is None:
-        raise ProtocolError(f"{frame.type} frames need a nonce")
-    return frame.nonce
-
-
-# -- decode ----------------------------------------------------------------------------
-
-
-def _bad(detail: str, src: Optional[str] = None) -> DecodeResult:
-    return DecodeResult(
-        error=WireError("bad-frame", detail, src=src), version=WIRE_VERSION_BINARY
-    )
-
-
-def _finite(value: float) -> bool:
-    return math.isfinite(value)
+# -- payload: decode --------------------------------------------------------------------
 
 
 #: interned :class:`EventId` values.  An event id is a pure value - the
@@ -679,10 +574,130 @@ def _string_at(strings: List[str], index: int) -> Optional[str]:
     return strings[index]
 
 
+# -- the binary spelling of each kind: put(out, table, value), get(reader) ---------------
+
+
+def _put_uint(out: bytearray, table: _StringTable, value: int) -> None:
+    _put_varint(out, value)
+
+
+def _put_u8(out: bytearray, table: _StringTable, value: int) -> None:
+    out.append(value)
+
+
+def _put_f64(out: bytearray, table: _StringTable, value: float) -> None:
+    out.extend(_F64.pack(value))
+
+
+def _put_name(out: bytearray, table: _StringTable, value: str) -> None:
+    _put_varint(out, table.add(value))
+
+
+def _put_bound(out: bytearray, table: _StringTable, value) -> None:
+    out.extend(_F64_PAIR.pack(value.lower, value.upper))
+
+
+def _put_boot(out: bytearray, table: _StringTable, value: Optional[BootstrapSnapshot]) -> None:
+    # bootstrap snapshots ride one frame per join handshake - a cold path -
+    # so they stay JSON inside the binary body rather than doubling the
+    # packed surface
+    if value is None:
+        out.append(0)
+    else:
+        out.append(1)
+        _json_blob(out, value.to_dict())
+
+
+def _get_bool(reader: _Reader) -> bool:
+    return bool(reader.u8())
+
+
+def _get_bound(reader: _Reader):
+    return bound_of(reader.f64(), reader.f64())
+
+
+def _get_payload(reader: _Reader) -> HistoryPayload:
+    payload, detail = _unpack_payload(reader, reader.strings)
+    if payload is None:
+        raise FieldRefused(detail, "bad-payload")
+    return payload
+
+
+def _get_boot(reader: _Reader) -> Optional[BootstrapSnapshot]:
+    if not reader.u8():
+        return None
+    try:
+        return BootstrapSnapshot.from_dict(json.loads(reader.blob()))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise FieldRefused(str(exc), "bad-boot") from None
+
+
+_BINARY = {
+    "uint": (_put_uint, _Reader.varint),
+    "hops": (_put_u8, _Reader.u8),
+    "f64": (_put_f64, _Reader.f64),
+    "f64>=0": (_put_f64, _Reader.f64),
+    "bool": (_put_u8, _get_bool),
+    "name": (_put_name, _Reader.string),
+    "bound": (_put_bound, _get_bound),
+    "payload": (_pack_payload, _get_payload),
+    "boot": (_put_boot, _get_boot),
+}
+
+_FIELDS = resolve_schema(_BINARY)
+
+
+# -- frames ----------------------------------------------------------------------------
+
+
+def encode_frame_binary(frame: Frame) -> bytes:
+    """Serialize ``frame`` as a version-3 binary frame.
+
+    Raises :class:`ProtocolError` on local misuse (a field its rule
+    refuses, an oversized body, a non-JSON-safe meta) exactly like the
+    JSON encoder.
+    """
+    ftype = frame.type
+    rows = _FIELDS.get(ftype)
+    if rows is None:
+        raise ProtocolError(f"unknown frame type {ftype!r}")
+    table = _StringTable()
+    src_idx = table.add(frame.src)
+    dst_idx = table.add(frame.dst)
+    fields = bytearray()
+    try:
+        for attr, _, rule, put, _ in rows:
+            put(fields, table, rule(getattr(frame, attr)))
+    except FieldRefused as exc:
+        raise ProtocolError(f"{ftype} {attr}: {exc}") from None
+    # string table first (it is only complete once the fields packed)
+    packed = bytearray((FRAME_TYPES.index(ftype),))
+    table.emit(packed)
+    _put_varint(packed, src_idx)
+    _put_varint(packed, dst_idx)
+    packed.extend(fields)
+    if frame.meta:
+        _json_blob(packed, dict(frame.meta))
+    else:
+        _put_varint(packed, 0)
+    body = bytes(packed)
+    flags = 0
+    if len(body) > COMPRESS_THRESHOLD:
+        squeezed = zlib.compress(body, 6)
+        if len(squeezed) < len(body):
+            body = squeezed
+            flags |= _FLAG_ZLIB
+    return framed(WIRE_VERSION_BINARY, bytes([flags]) + body)
+
+
+def _bad(detail: str, src: Optional[str] = None) -> DecodeResult:
+    return rejected("bad-frame", detail, src, WIRE_VERSION_BINARY)
+
+
 def decode_body_binary(body: bytes) -> DecodeResult:
     """Parse an untrusted version-3 body into a frame or a structured error.
 
-    Mirrors the JSON decoder's validation outcomes field for field; the
+    Every field passes the rule the JSON decoder applies to it; the
     result's ``version`` is always :data:`~repro.rt.wire.WIRE_VERSION_BINARY`
     so stateless endpoints can echo the codec.
     """
@@ -700,11 +715,8 @@ def decode_body_binary(body: bytes) -> DecodeResult:
             except zlib.error as exc:
                 return _bad(f"bad zlib stream: {exc}")
             if len(rest) > MAX_BODY_BYTES:
-                return DecodeResult(
-                    error=WireError(
-                        "oversized", "decompressed body exceeds cap", src=None
-                    ),
-                    version=WIRE_VERSION_BINARY,
+                return rejected(
+                    "oversized", "decompressed body exceeds cap", version=WIRE_VERSION_BINARY
                 )
         reader = _Reader(rest)
         type_code = reader.u8()
@@ -714,84 +726,20 @@ def decode_body_binary(body: bytes) -> DecodeResult:
         string_count = reader.varint()
         if string_count > MAX_BODY_BYTES:
             return _bad(f"implausible string count {string_count}")
-        strings: List[str] = []
+        strings = reader.strings
         for _ in range(string_count):
             raw = reader.blob()
             try:
                 strings.append(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 return _bad(f"bad utf-8 in string table: {exc}")
-        src = _string_at(strings, reader.varint())
-        dst = _string_at(strings, reader.varint())
+        src = reader.string()
+        dst = reader.string()
         if not src or not dst:
             return _bad("missing or non-string src/dst", src=src or None)
-        seq = None
-        lt = None
-        payload = None
-        boot = None
-        nonce = None
-        bound = None
-        degraded = False
-        age = None
-        retry_after = None
-        reason = None
-        hops = None
-        stratum = None
-        if ftype == "ack":
-            seq = reader.varint()
-        elif ftype == "sync":
-            seq = reader.varint()
-            lt = reader.f64()
-            payload, detail = _unpack_payload(reader, strings)
-            if payload is None:
-                return DecodeResult(
-                    error=WireError("bad-payload", detail, src=src),
-                    version=WIRE_VERSION_BINARY,
-                )
-            if reader.u8():
-                blob = reader.blob()
-                try:
-                    boot = BootstrapSnapshot.from_dict(json.loads(blob))
-                except (ValueError, UnicodeDecodeError) as exc:
-                    return DecodeResult(
-                        error=WireError("bad-boot", str(exc), src=src),
-                        version=WIRE_VERSION_BINARY,
-                    )
-        elif ftype in ("probe", "dreq"):
-            nonce = reader.varint()
-        elif ftype in ("reply", "deleg"):
-            nonce = reader.varint()
-            lower = reader.f64()
-            upper = reader.f64()
-            if not _finite(lower) or not _finite(upper):
-                return _bad(f"{ftype} needs finite bounds", src=src)
-            if lower > upper:
-                return _bad(f"{ftype} bound is empty: [{lower}, {upper}]", src=src)
-            bound = ClockBound(lower, upper)
-            degraded = bool(reader.u8())
-            age = reader.f64()
-            if not _finite(age) or age < 0:
-                return _bad(f"{ftype} needs a finite non-negative age, got {age!r}", src=src)
-            if ftype == "deleg":
-                hops = reader.u8()
-                if not (1 <= hops <= MAX_DELEGATION_HOPS):
-                    # same wire contract as JSON: K2 <= 2, rejected not widened
-                    return _bad(
-                        f"deleg hops must be in [1, {MAX_DELEGATION_HOPS}], got {hops!r}",
-                        src=src,
-                    )
-                stratum = reader.varint()
-        elif ftype == "shed":
-            nonce = reader.varint()
-            retry_after = reader.f64()
-            if not _finite(retry_after) or retry_after < 0:
-                return _bad(
-                    f"shed needs a finite non-negative retry_after, got {retry_after!r}",
-                    src=src,
-                )
-            reason = _string_at(strings, reader.varint())
-            if not reason:
-                return _bad("shed reason is not a non-empty string", src=src)
+        values = {}
+        for attr, _, rule, _, get in _FIELDS[ftype]:
+            values[attr] = rule(get(reader))
         meta_blob = reader.blob()
         if meta_blob:
             try:
@@ -806,24 +754,8 @@ def decode_body_binary(body: bytes) -> DecodeResult:
             return _bad(f"{reader.end - reader.pos} trailing bytes after body", src=src)
     except _Truncated as exc:
         return _bad(str(exc), src=src)
+    except FieldRefused as exc:
+        return rejected(exc.code, f"{ftype} {attr}: {exc}", src, WIRE_VERSION_BINARY)
     return DecodeResult(
-        frame=Frame(
-            type=ftype,
-            src=src,
-            dst=dst,
-            seq=seq,
-            lt=lt,
-            payload=payload,
-            boot=boot,
-            nonce=nonce,
-            bound=bound,
-            degraded=degraded,
-            age=age,
-            retry_after=retry_after,
-            reason=reason,
-            hops=hops,
-            stratum=stratum,
-            meta=meta,
-        ),
-        version=WIRE_VERSION_BINARY,
+        frame=make_frame(ftype, src, dst, meta, values), version=WIRE_VERSION_BINARY
     )

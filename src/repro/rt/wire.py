@@ -3,71 +3,66 @@
 Every datagram is one *frame*:
 
     +-------+---------+------------------+------------ ... -+
-    | magic | version | body length (u32)| JSON body        |
+    | magic | version | body length (u32)| body             |
     | 2 B   | 1 B     | 4 B big-endian   | <= MAX_BODY bytes|
     +-------+---------+------------------+------------ ... -+
 
 The length prefix makes truncation and trailing garbage detectable even
 on datagram transports (and lets the same framing run over streams
-later).  The body is strict JSON (``allow_nan=False``) extending the
-conventions of :mod:`repro.sim.serialize`: history payloads travel as
-``HistoryPayload.to_dict()`` documents.
+later).  The version byte selects the body codec per frame: 1 and 2 are
+strict JSON (``allow_nan=False``, extending the conventions of
+:mod:`repro.sim.serialize`), 3 is the struct-packed body of
+:mod:`repro.rt.codec`.
 
-Frame types:
+**One schema.**  :data:`FRAME_SCHEMA` lists, per frame type, the fields
+a frame carries beyond its ``type``/``src``/``dst``/``meta`` envelope:
+``(Frame attribute, kind, JSON default)`` in wire order.  Each *kind*
+has one rule and one spelling per codec (``_KINDS`` here,
+``codec._BINARY`` there); the frame constructors, both encoders and
+both decoders walk the table and apply that rule and nothing else, so a
+value a constructor refuses is a value every decoder rejects, and the
+reverse.  The field table itself is rendered in ``docs/RUNTIME.md``
+("Frame fields"); what the nine types are *for*:
 
-* ``hello`` - peer liveness/discovery; carries no synchronization data.
-* ``sync``  - one gossip message: the send event's ``seq``/``lt`` plus
-  the piggybacked :class:`~repro.core.history.HistoryPayload` (Fig 2).
-  A sync answering a ``join`` additionally carries ``boot``, the
-  sponsor's :class:`~repro.core.bootstrap.BootstrapSnapshot` taken right
-  after the send - the late-joiner handoff of Lemmas 3.4/3.5.
-* ``ack``   - delivery confirmation for one ``sync`` frame, by ``seq``;
-  drives the sender's Sec 3.3 delivery-detection hooks.
+* ``hello`` - peer liveness/discovery; its meta advertises codecs.
+* ``sync``  - one gossip message: the send event plus the piggybacked
+  :class:`~repro.core.history.HistoryPayload` (Fig 2).  A sync answering
+  a ``join`` additionally carries the sponsor's
+  :class:`~repro.core.bootstrap.BootstrapSnapshot` taken right after the
+  send - the late-joiner handoff of Lemmas 3.4/3.5.
+* ``ack``   - delivery confirmation for one ``sync``; drives the
+  sender's Sec 3.3 delivery-detection hooks.
 * ``join``  - a fresh node asking a sponsor neighbor for a bootstrap;
   seq-less like ``hello`` (the *answer* is an ordinary sync and rides
   the normal at-most-once machinery, so joins may repeat freely).
-
-The *serving tier* (Sec 4's Cristian application, :mod:`repro.rt.serve`)
-adds three stateless frames.  Clients never join the history/AGDP
-protocol: a probe/reply pair is one Cristian round trip, correlated by a
-client-chosen ``nonce`` instead of the gossip ``seq`` machinery, so the
-server keeps no per-client state at all:
-
-* ``probe`` - a lightweight client asking a serving node for external
-  bounds; carries only a non-negative ``nonce`` the reply must echo.
-* ``reply`` - the server's answer: finite source-time bounds
-  ``[lower, upper]`` valid at the instant the server computed them,
-  a ``degraded`` flag when the bounds include an extra staleness/
-  quarantine drift allowance, and the server state's ``age`` (local
-  seconds since its estimator's last event, informational).
+* ``probe``/``reply`` - the *serving tier* (Sec 4's Cristian
+  application, :mod:`repro.rt.serve`): one stateless round trip,
+  correlated by a client-chosen nonce instead of the gossip ``seq``
+  machinery, so the server keeps no per-client state at all.  The reply
+  holds source-time bounds valid at the instant the server computed
+  them, flagged ``degraded`` when they include an extra staleness/
+  quarantine drift allowance.
 * ``shed``  - explicit load-shedding refusal: the server cannot (token
-  bucket or queue full) or will not (no bounded estimate yet) answer;
-  carries a ``retry_after`` hint and a ``reason``.  An overloaded server
-  that *says so* keeps clients honest - silence is indistinguishable
-  from loss and would be retried immediately.
-
-The *stratum hierarchy* (:mod:`repro.rt.strata`) adds one more stateless
-pair with the same nonce-correlation discipline.  A downstream tier's
-border node asks an upstream anchor for delegated source-time bounds:
-
-* ``dreq``  - a delegation request; like ``probe``, it carries only the
-  requesting border's nonce.
-* ``deleg`` - the anchor's answer: finite source-time bounds plus
-  ``hops`` (how many indirections separate the bounds from the
-  answering tier's own time authority - the paper's ``K2 <= 2`` bound,
-  enforced at decode: ``1`` for a core node serving its own estimator,
-  ``2`` for a border re-exporting an adopted bound) and ``stratum``
-  (the answering tier's depth, ``0`` = core).  Refusals reuse ``shed``
-  (reason ``unsynced``), so an unsynced anchor stays loudly alive.
+  bucket or queue full) or will not (no bounded estimate yet) answer.
+  An overloaded server that *says so* keeps clients honest - silence is
+  indistinguishable from loss and would be retried immediately.
+* ``dreq``/``deleg`` - the *stratum hierarchy*
+  (:mod:`repro.rt.strata`): a downstream tier's border node asks an
+  upstream anchor for delegated bounds, with the same nonce discipline.
+  ``hops`` counts the indirections between the bounds and the answering
+  tier's own time authority (``1``: a core node serving its own
+  estimator, ``2``: a border re-exporting an adopted bound); refusals
+  reuse ``shed`` (reason ``unsynced``), so an unsynced anchor stays
+  loudly alive.
 
 **Decoding never raises.**  Bytes off the wire are adversarial input:
 :func:`decode_frame` returns a :class:`DecodeResult` whose ``error`` is a
 structured :class:`WireError` for malformed input - short or truncated
-frames, wrong magic or version, oversized bodies, broken JSON, bad frame
-fields, or a payload section :meth:`HistoryPayload.from_dict` rejects.
-When the envelope (src/dst/type) survives but the payload does not, the
-error still carries the claimed sender, so the node daemon can feed the
-anomaly into the existing suspicion machinery
+frames, wrong magic or version, oversized bodies, broken JSON, a field
+its rule refuses, or a payload section :meth:`HistoryPayload.from_dict`
+rejects.  When the envelope (src/dst/type) survives but a field does
+not, the error still carries the claimed sender, so the node daemon can
+feed the anomaly into the existing suspicion machinery
 (:meth:`~repro.core.csa.EfficientCSA.report_anomaly`) exactly like
 sim-path tampering.
 """
@@ -75,13 +70,13 @@ sim-path tampering.
 from __future__ import annotations
 
 import json
-import math
 import struct
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..core.bootstrap import BootstrapSnapshot
-from ..core.errors import ProtocolError
+from ..core.errors import ProtocolError, SpecificationError
 from ..core.events import Event, ProcessorId
 from ..core.history import HistoryPayload
 from ..core.intervals import ClockBound
@@ -131,17 +126,9 @@ MAGIC = b"RS"
 
 _HEADER = struct.Struct(">2sBI")
 
-#: hard cap on the JSON body; keeps frames inside one UDP datagram and
-#: bounds what a hostile peer can make a node parse
+#: hard cap on the body; keeps frames inside one UDP datagram and bounds
+#: what a hostile peer can make a node parse
 MAX_BODY_BYTES = 60_000
-
-FRAME_TYPES = ("hello", "sync", "ack", "join", "probe", "reply", "shed", "dreq", "deleg")
-
-#: frame types of the stateless serving tier (nonce-correlated, seq-less)
-SERVE_FRAME_TYPES = ("probe", "reply", "shed")
-
-#: frame types of the stratum hierarchy's delegation channel
-STRATA_FRAME_TYPES = ("dreq", "deleg")
 
 #: the paper's ``K2``: delegated bounds may be at most this many
 #: indirections from the answering tier's own time authority
@@ -217,7 +204,245 @@ class DecodeResult:
         return self.frame is not None
 
 
-# -- construction helpers --------------------------------------------------------------
+def rejected(code: str, detail: str, src=None, version=None) -> DecodeResult:
+    return DecodeResult(error=WireError(code, detail, src), version=version)
+
+
+# -- field kinds: one rule each --------------------------------------------------------
+
+
+class FieldRefused(ValueError):
+    """A field rule's verdict on one value.
+
+    Constructors and encoders re-raise it as :class:`ProtocolError` (local
+    misuse), decoders turn it into a :class:`WireError` carrying ``code``
+    and the claimed sender (hostile input); it never leaves this package.
+    """
+
+    def __init__(self, detail: str, code: str = "bad-frame"):
+        super().__init__(detail)
+        self.code = code
+
+
+_F64_MAX = sys.float_info.max
+
+
+def _uint(value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise FieldRefused(f"needs a non-negative int, got {value!r}")
+    return value
+
+
+def _hops(value):
+    # the K2 <= 2 indirection bound is part of the wire contract: a frame
+    # claiming deeper indirection is rejected, not widened
+    if not 1 <= _uint(value) <= MAX_DELEGATION_HOPS:
+        raise FieldRefused(f"must be in [1, {MAX_DELEGATION_HOPS}], got {value!r}")
+    return value
+
+
+def _finite(value):
+    # the range test also refuses NaN (every comparison with it is false)
+    # and an int too large for float() to convert
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FieldRefused(f"needs a number, got {value!r}")
+    if not -_F64_MAX <= value <= _F64_MAX:
+        raise FieldRefused(f"needs a finite number, got {value!r}")
+    return float(value)
+
+
+def _nonneg(value):
+    value = _finite(value)
+    if value < 0:
+        raise FieldRefused(f"must be non-negative, got {value!r}")
+    return value
+
+
+def _bool(value):
+    if not isinstance(value, bool):
+        raise FieldRefused(f"needs a bool, got {value!r}")
+    return value
+
+
+def _name(value):
+    if not isinstance(value, str) or not value:
+        raise FieldRefused(f"needs a non-empty string, got {value!r}")
+    return value
+
+
+def _bound(value):
+    # only *finite* bounds travel: an unsynced server must shed (reason
+    # ``unsynced``) instead - an infinite endpoint is not strict-JSON-
+    # representable and carries no information a client could act on
+    if not isinstance(value, ClockBound) or not value.is_bounded:
+        raise FieldRefused(f"needs a finite ClockBound (shed instead), got {value!r}")
+    return value
+
+
+def _payload(value):
+    if not isinstance(value, HistoryPayload):
+        raise FieldRefused(f"needs a HistoryPayload, got {value!r}")
+    return value
+
+
+def _boot(value):
+    if value is not None and not isinstance(value, BootstrapSnapshot):
+        raise FieldRefused(f"needs a BootstrapSnapshot or None, got {value!r}")
+    return value
+
+
+def bound_of(lower: float, upper: float) -> ClockBound:
+    """The bound two endpoints off the wire spell; an empty one is refused."""
+    try:
+        return ClockBound(lower, upper)
+    except SpecificationError as exc:
+        raise FieldRefused(str(exc)) from None
+
+
+# -- the JSON spelling of a kind: put(body, key, value), get(body, key, default) --------
+
+
+def _bool_to_json(body, key, value):
+    if value:  # a flag travels only when set
+        body[key] = True
+
+
+def _bound_to_json(body, key, value):
+    body["lower"] = value.lower
+    body["upper"] = value.upper
+
+
+def _bound_from_json(body, key, default):
+    return bound_of(_finite(body.get("lower")), _finite(body.get("upper")))
+
+
+def _document_to_json(body, key, value):
+    if value is not None:
+        body[key] = value.to_dict()
+
+
+def _document_from_json(cls, code):
+    def from_json(body, key, default):
+        if default is None and key not in body:
+            return None
+        try:
+            return cls.from_dict(body.get(key, default))
+        except ValueError as exc:
+            raise FieldRefused(str(exc), code) from None
+
+    return from_json
+
+
+_scalar = (dict.__setitem__, dict.get)
+
+#: kind -> (rule, JSON put, JSON get).  A rule returns the checked (and
+#: normalised) value or raises :class:`FieldRefused`; the binary spelling
+#: of each kind is ``codec._BINARY``
+_KINDS = {
+    "uint": (_uint, *_scalar),
+    "hops": (_hops, *_scalar),
+    "f64": (_finite, *_scalar),
+    "f64>=0": (_nonneg, *_scalar),
+    "bool": (_bool, _bool_to_json, dict.get),
+    "name": (_name, *_scalar),
+    "bound": (_bound, _bound_to_json, _bound_from_json),
+    "payload": (_payload, _document_to_json, _document_from_json(HistoryPayload, "bad-payload")),
+    "boot": (_boot, _document_to_json, _document_from_json(BootstrapSnapshot, "bad-boot")),
+}
+
+
+# -- the schema ------------------------------------------------------------------------
+
+_NONCE = ("nonce", "uint", None)
+_ANSWER = (_NONCE, ("bound", "bound", None), ("degraded", "bool", False), ("age", "f64>=0", 0.0))
+
+#: frame type -> its fields as ``(Frame attribute, kind, JSON default)``,
+#: in the order both codecs put them on the wire.  The default is what
+#: the JSON decoder reads for an absent key (``None``: nothing - every
+#: kind but ``boot`` refuses it, which is what makes a field required);
+#: the binary body has no keys, so every field is always present there.
+#: The position of a type in this table is its binary type code.
+FRAME_SCHEMA = {
+    "hello": (),
+    "sync": (
+        ("seq", "uint", None),
+        ("lt", "f64", None),
+        ("payload", "payload", {}),
+        ("boot", "boot", None),
+    ),
+    "ack": (("seq", "uint", None),),
+    "join": (),
+    "probe": (_NONCE,),
+    "reply": _ANSWER,
+    "shed": (_NONCE, ("retry_after", "f64>=0", None), ("reason", "name", "overload")),
+    "dreq": (_NONCE,),
+    "deleg": _ANSWER + (("hops", "hops", None), ("stratum", "uint", None)),
+}
+
+FRAME_TYPES = tuple(FRAME_SCHEMA)
+
+#: frame types of the stateless serving tier (nonce-correlated, seq-less)
+SERVE_FRAME_TYPES = ("probe", "reply", "shed")
+
+#: frame types of the stratum hierarchy's delegation channel
+STRATA_FRAME_TYPES = ("dreq", "deleg")
+
+
+def resolve_schema(binary: Optional[Dict[str, tuple]] = None) -> Dict[str, Tuple[tuple, ...]]:
+    """The schema bound to one codec, once, at import.
+
+    Maps each frame type to rows of ``(attr, default, rule, put, get)`` -
+    ``put``/``get`` being each kind's JSON spelling, or the one ``binary``
+    gives it - so the per-frame loops do no lookup beyond their own type's.
+    """
+
+    def row(attr, kind, default):
+        rule, put, get = _KINDS[kind]
+        if binary is not None:
+            put, get = binary[kind]
+        return attr, default, rule, put, get
+
+    return {
+        ftype: tuple(row(*field) for field in fields) for ftype, fields in FRAME_SCHEMA.items()
+    }
+
+
+_FIELDS = resolve_schema()
+
+
+def make_frame(ftype: str, src: ProcessorId, dst: ProcessorId, meta: Dict, values: Dict) -> Frame:
+    """Materialise a frame from field ``values`` that passed their rules.
+
+    One ``__dict__`` swap instead of the frozen dataclass's sixteen
+    ``__setattr__`` round trips (the trick ``codec._unpack_payload`` uses
+    for ``Event``); fields the type does not carry read the class-level
+    defaults.
+    """
+    values["type"] = ftype
+    values["src"] = src
+    values["dst"] = dst
+    values["meta"] = meta
+    frame = object.__new__(Frame)
+    object.__setattr__(frame, "__dict__", values)
+    return frame
+
+
+# -- construction ----------------------------------------------------------------------
+
+
+def _build(ftype: str, src: ProcessorId, dst: ProcessorId, args=(), meta=None) -> Frame:
+    """``args`` are the type's field values in schema order."""
+    values = {}
+    try:
+        for (attr, _, rule, _, _), value in zip(_FIELDS[ftype], args):
+            values[attr] = rule(value)
+    except FieldRefused as exc:
+        raise ProtocolError(f"{ftype} {attr}: {exc}") from None
+    return make_frame(ftype, src, dst, {} if meta is None else meta, values)
+
+
+def _advert(codecs: Optional[tuple]) -> Dict:
+    return {"wire": WIRE_VERSION, "codecs": list(WIRE_CODECS if codecs is None else codecs)}
 
 
 def hello_frame(
@@ -229,12 +454,7 @@ def hello_frame(
     else (including version-1 nodes, whose hello carries no ``codecs`` at
     all) is spoken to in JSON.
     """
-    return Frame(
-        type="hello",
-        src=src,
-        dst=dst,
-        meta={"wire": WIRE_VERSION, "codecs": list(WIRE_CODECS if codecs is None else codecs)},
-    )
+    return _build("hello", src, dst, meta=_advert(codecs))
 
 
 def sync_frame(
@@ -245,42 +465,24 @@ def sync_frame(
     """The gossip frame for one send event and its piggybacked payload."""
     if not send_event.is_send:
         raise ProtocolError(f"sync frames wrap send events, got {send_event.kind}")
-    return Frame(
-        type="sync",
-        src=send_event.proc,
-        dst=send_event.dest,
-        seq=send_event.seq,
-        lt=send_event.lt,
-        payload=payload,
-        boot=boot,
-    )
+    fields = (send_event.seq, send_event.lt, payload, boot)
+    return _build("sync", send_event.proc, send_event.dest, fields)
 
 
 def ack_frame(src: ProcessorId, dst: ProcessorId, seq: int) -> Frame:
-    return Frame(type="ack", src=src, dst=dst, seq=seq)
+    return _build("ack", src, dst, (seq,))
 
 
 def join_frame(
     src: ProcessorId, dst: ProcessorId, *, codecs: Optional[tuple] = None
 ) -> Frame:
     """A fresh node's bootstrap request to its sponsor neighbor."""
-    return Frame(
-        type="join",
-        src=src,
-        dst=dst,
-        meta={"wire": WIRE_VERSION, "codecs": list(WIRE_CODECS if codecs is None else codecs)},
-    )
-
-
-def _check_nonce(nonce: int) -> int:
-    if not isinstance(nonce, int) or isinstance(nonce, bool) or nonce < 0:
-        raise ProtocolError(f"serve frames need a non-negative int nonce, got {nonce!r}")
-    return nonce
+    return _build("join", src, dst, meta=_advert(codecs))
 
 
 def probe_frame(src: ProcessorId, dst: ProcessorId, nonce: int) -> Frame:
     """A lightweight client's Cristian probe to a serving endpoint."""
-    return Frame(type="probe", src=src, dst=dst, nonce=_check_nonce(nonce))
+    return _build("probe", src, dst, (nonce,))
 
 
 def reply_frame(
@@ -292,26 +494,8 @@ def reply_frame(
     degraded: bool = False,
     age: float = 0.0,
 ) -> Frame:
-    """The server's answer to one probe.
-
-    Only *finite* bounds travel: an unsynced server must shed (with
-    reason ``unsynced``) instead - an infinite endpoint is not
-    strict-JSON-representable and carries no information a client could
-    act on anyway.
-    """
-    if not bound.is_bounded:
-        raise ProtocolError("reply frames carry finite bounds only; shed instead")
-    if age < 0:
-        raise ProtocolError(f"reply age must be non-negative, got {age}")
-    return Frame(
-        type="reply",
-        src=src,
-        dst=dst,
-        nonce=_check_nonce(nonce),
-        bound=bound,
-        degraded=bool(degraded),
-        age=float(age),
-    )
+    """The server's answer to one probe (finite bounds only, else shed)."""
+    return _build("reply", src, dst, (nonce, bound, degraded, age))
 
 
 def shed_frame(
@@ -323,25 +507,12 @@ def shed_frame(
     reason: str = "overload",
 ) -> Frame:
     """An explicit load-shedding refusal of one probe."""
-    if not (retry_after >= 0) or math.isinf(retry_after):
-        raise ProtocolError(
-            f"retry_after must be finite and non-negative, got {retry_after!r}"
-        )
-    if not isinstance(reason, str) or not reason:
-        raise ProtocolError(f"shed reason must be a non-empty string, got {reason!r}")
-    return Frame(
-        type="shed",
-        src=src,
-        dst=dst,
-        nonce=_check_nonce(nonce),
-        retry_after=float(retry_after),
-        reason=reason,
-    )
+    return _build("shed", src, dst, (nonce, retry_after, reason))
 
 
 def dreq_frame(src: ProcessorId, dst: ProcessorId, nonce: int) -> Frame:
     """A border node's delegation request to an upstream anchor endpoint."""
-    return Frame(type="dreq", src=src, dst=dst, nonce=_check_nonce(nonce))
+    return _build("dreq", src, dst, (nonce,))
 
 
 def deleg_frame(
@@ -358,50 +529,14 @@ def deleg_frame(
     """An anchor's delegated source-time bounds for one ``dreq``.
 
     Like ``reply``, only finite bounds travel (shed ``unsynced``
-    otherwise).  ``hops`` states how many indirections separate the
-    bounds from the answering tier's own time authority and must respect
-    the paper's ``K2`` bound: ``1`` (a core node serving its own
-    estimator) or ``2`` (a border re-exporting an adopted bound).
+    otherwise).  ``hops`` must respect the paper's ``K2`` bound: ``1`` (a
+    core node serving its own estimator) or ``2`` (a border re-exporting
+    an adopted bound).
     """
-    if not bound.is_bounded:
-        raise ProtocolError("deleg frames carry finite bounds only; shed instead")
-    if not isinstance(hops, int) or isinstance(hops, bool) or not (
-        1 <= hops <= MAX_DELEGATION_HOPS
-    ):
-        raise ProtocolError(
-            f"deleg hops must be an int in [1, {MAX_DELEGATION_HOPS}], got {hops!r}"
-        )
-    if not isinstance(stratum, int) or isinstance(stratum, bool) or stratum < 0:
-        raise ProtocolError(f"deleg stratum must be a non-negative int, got {stratum!r}")
-    if age < 0:
-        raise ProtocolError(f"deleg age must be non-negative, got {age}")
-    return Frame(
-        type="deleg",
-        src=src,
-        dst=dst,
-        nonce=_check_nonce(nonce),
-        bound=bound,
-        degraded=bool(degraded),
-        age=float(age),
-        hops=hops,
-        stratum=stratum,
-    )
+    return _build("deleg", src, dst, (nonce, bound, degraded, age, hops, stratum))
 
 
 # -- encode ----------------------------------------------------------------------------
-
-
-_BINARY_CODEC = None
-
-
-def _binary_codec():
-    """Import :mod:`repro.rt.codec` once (it imports back from this module,
-    so the import must be deferred past module init) and cache it."""
-    global _BINARY_CODEC
-    if _BINARY_CODEC is None:
-        from . import codec as _BINARY_CODEC  # noqa: F811 - rebinds the global
-
-    return _BINARY_CODEC
 
 
 def encode_frame(frame: Frame, codec: str = "json") -> bytes:
@@ -409,61 +544,106 @@ def encode_frame(frame: Frame, codec: str = "json") -> bytes:
 
     ``codec`` selects the body format: ``"json"`` (wire version 2, the
     interoperable default) or ``"binary"`` (version 3, the struct-packed
-    hot-path format of :mod:`repro.rt.codec`).  Encoding errors are *our*
-    bugs or limits (an oversized payload), not remote input, hence the
-    exception - callers on the send path treat it like a lost message.
+    hot-path format of :mod:`repro.rt.codec`).  Both apply every field's
+    rule before packing it.  Encoding errors are *our* bugs or limits (an
+    oversized payload), not remote input, hence the exception - callers
+    on the send path treat it like a lost message.
     """
     if codec == "binary":
-        binary = _binary_codec()
-        return binary.encode_frame_binary(frame)
+        return _codec.encode_frame_binary(frame)
     if codec != "json":
         raise ProtocolError(f"unknown wire codec {codec!r}")
-    body: Dict = {"type": frame.type, "src": frame.src, "dst": frame.dst}
-    if frame.seq is not None:
-        body["seq"] = frame.seq
-    if frame.lt is not None:
-        body["lt"] = frame.lt
-    if frame.payload is not None:
-        body["payload"] = frame.payload.to_dict()
-    if frame.boot is not None:
-        body["boot"] = frame.boot.to_dict()
-    if frame.nonce is not None:
-        body["nonce"] = frame.nonce
-    if frame.bound is not None:
-        body["lower"] = frame.bound.lower
-        body["upper"] = frame.bound.upper
-    if frame.degraded:
-        body["degraded"] = True
-    if frame.age is not None:
-        body["age"] = frame.age
-    if frame.retry_after is not None:
-        body["retry_after"] = frame.retry_after
-    if frame.reason is not None:
-        body["reason"] = frame.reason
-    if frame.hops is not None:
-        body["hops"] = frame.hops
-    if frame.stratum is not None:
-        body["stratum"] = frame.stratum
+    ftype = frame.type
+    rows = _FIELDS.get(ftype)
+    if rows is None:
+        raise ProtocolError(f"unknown frame type {ftype!r}")
+    body: Dict = {"type": ftype, "src": frame.src, "dst": frame.dst}
+    try:
+        for attr, _, rule, to_json, _ in rows:
+            to_json(body, attr, rule(getattr(frame, attr)))
+    except FieldRefused as exc:
+        raise ProtocolError(f"{ftype} {attr}: {exc}") from None
     if frame.meta:
         body["meta"] = dict(frame.meta)
+    return framed(WIRE_VERSION, strict_json(body))
+
+
+def strict_json(document) -> bytes:
     try:
-        encoded = json.dumps(body, separators=(",", ":"), allow_nan=False).encode()
+        return json.dumps(document, separators=(",", ":"), allow_nan=False).encode()
     except ValueError as exc:
         raise ProtocolError(f"frame body is not strict-JSON-safe: {exc}") from None
-    if len(encoded) > MAX_BODY_BYTES:
-        raise ProtocolError(
-            f"frame body of {len(encoded)} bytes exceeds the {MAX_BODY_BYTES} cap"
-        )
-    return _HEADER.pack(MAGIC, WIRE_VERSION, len(encoded)) + encoded
+
+
+def framed(version: int, body: bytes) -> bytes:
+    if len(body) > MAX_BODY_BYTES:
+        raise ProtocolError(f"frame body of {len(body)} bytes exceeds the {MAX_BODY_BYTES} cap")
+    return _HEADER.pack(MAGIC, version, len(body)) + body
 
 
 # -- decode ----------------------------------------------------------------------------
 
 
-def _envelope_src(body) -> Optional[ProcessorId]:
-    if isinstance(body, dict) and isinstance(body.get("src"), str) and body["src"]:
-        return body["src"]
-    return None
+def _decode_body_json(body_bytes: bytes, version: int) -> DecodeResult:
+    try:
+        body = json.loads(body_bytes)
+    except (ValueError, UnicodeDecodeError) as exc:
+        return rejected("bad-json", str(exc))
+    if not isinstance(body, dict):
+        return rejected("bad-frame", "body is not an object")
+    src = body.get("src")
+    if not isinstance(src, str) or not src:
+        src = None
+    ftype = body.get("type")
+    rows = _FIELDS.get(ftype) if isinstance(ftype, str) else None
+    if rows is None:
+        return rejected("bad-frame", f"unknown type {ftype!r}", src)
+    dst = body.get("dst")
+    if src is None or not isinstance(dst, str) or not dst:
+        return rejected("bad-frame", "missing or non-string src/dst", src)
+    meta = body.get("meta", {})
+    if not isinstance(meta, dict):
+        return rejected("bad-frame", "meta is not an object", src)
+    values = {}
+    try:
+        for attr, default, rule, _, from_json in rows:
+            values[attr] = rule(from_json(body, attr, default))
+    except FieldRefused as exc:
+        return rejected(exc.code, f"{ftype} {attr}: {exc}", src)
+    return DecodeResult(frame=make_frame(ftype, src, dst, meta, values), version=version)
+
+
+def _decode_at(data: bytes, offset: int, exact: bool):
+    """Decode the frame that starts at ``offset`` -> ``(result, end)``.
+
+    ``end`` is the offset just past the frame, or ``None`` when its
+    header cannot be trusted to delimit it: short input, bad magic, an
+    oversized declaration, a truncated body (or, when the frame must be
+    ``exact``ly the rest of ``data``, a padded one).
+    """
+    total = len(data)
+    if total - offset < _HEADER.size:
+        return rejected("short-frame", f"{total - offset} bytes < {_HEADER.size}-byte header"), None
+    magic, version, length = _HEADER.unpack_from(data, offset)
+    if magic != MAGIC:
+        return rejected("bad-magic", f"preamble {magic!r}"), None
+    start = offset + _HEADER.size
+    end = start + length
+    if length > MAX_BODY_BYTES or end > total or (exact and end != total):
+        end = None
+    if version not in (1, WIRE_VERSION, WIRE_VERSION_BINARY):
+        detail = f"wire version {version}, expected <= {WIRE_VERSION_BINARY}"
+        return rejected("bad-version", detail), end
+    if length > MAX_BODY_BYTES:
+        detail = f"declared body of {length} bytes exceeds cap"
+        return rejected("oversized", detail, version=version), None
+    if end is None:
+        detail = f"declared {length} body bytes, got {total - start} (truncated or padded)"
+        return rejected("length-mismatch", detail, version=version), None
+    body = data[start:end]
+    if version == WIRE_VERSION_BINARY:
+        return _codec.decode_body_binary(body), end
+    return _decode_body_json(body, version), end
 
 
 def decode_frame(data: bytes) -> DecodeResult:
@@ -472,196 +652,7 @@ def decode_frame(data: bytes) -> DecodeResult:
     The version byte selects the body decoder per frame: 1 and 2 are the
     JSON body (unchanged between those versions), 3 is the binary codec.
     """
-    if len(data) < _HEADER.size:
-        return DecodeResult(
-            error=WireError("short-frame", f"{len(data)} bytes < {_HEADER.size}-byte header")
-        )
-    magic, version, length = _HEADER.unpack_from(data)
-    if magic != MAGIC:
-        return DecodeResult(error=WireError("bad-magic", f"preamble {magic!r}"))
-    if version not in (1, WIRE_VERSION, WIRE_VERSION_BINARY):
-        return DecodeResult(
-            error=WireError(
-                "bad-version",
-                f"wire version {version}, expected <= {WIRE_VERSION_BINARY}",
-            )
-        )
-    if length > MAX_BODY_BYTES:
-        return DecodeResult(
-            error=WireError("oversized", f"declared body of {length} bytes exceeds cap"),
-            version=version,
-        )
-    body_bytes = data[_HEADER.size :]
-    if len(body_bytes) != length:
-        return DecodeResult(
-            error=WireError(
-                "length-mismatch",
-                f"declared {length} body bytes, got {len(body_bytes)} (truncated or padded)",
-            ),
-            version=version,
-        )
-    if version == WIRE_VERSION_BINARY:
-        return _binary_codec().decode_body_binary(body_bytes)
-    try:
-        body = json.loads(body_bytes)
-    except (ValueError, UnicodeDecodeError) as exc:
-        return DecodeResult(error=WireError("bad-json", str(exc)))
-    src = _envelope_src(body)
-    if not isinstance(body, dict):
-        return DecodeResult(error=WireError("bad-frame", "body is not an object"))
-    ftype = body.get("type")
-    if ftype not in FRAME_TYPES:
-        return DecodeResult(error=WireError("bad-frame", f"unknown type {ftype!r}", src=src))
-    dst = body.get("dst")
-    if src is None or not isinstance(dst, str) or not dst:
-        return DecodeResult(
-            error=WireError("bad-frame", "missing or non-string src/dst", src=src)
-        )
-    seq = body.get("seq")
-    lt = body.get("lt")
-    meta = body.get("meta", {})
-    if not isinstance(meta, dict):
-        return DecodeResult(error=WireError("bad-frame", "meta is not an object", src=src))
-    if ftype in ("sync", "ack"):
-        if not isinstance(seq, int) or isinstance(seq, bool) or seq < 0:
-            return DecodeResult(
-                error=WireError("bad-frame", f"{ftype} needs a non-negative seq, got {seq!r}", src=src)
-            )
-    nonce = None
-    bound = None
-    degraded = False
-    age = None
-    retry_after = None
-    reason = None
-    hops = None
-    stratum = None
-    if ftype in SERVE_FRAME_TYPES or ftype in STRATA_FRAME_TYPES:
-        nonce = body.get("nonce")
-        if not isinstance(nonce, int) or isinstance(nonce, bool) or nonce < 0:
-            return DecodeResult(
-                error=WireError(
-                    "bad-frame", f"{ftype} needs a non-negative nonce, got {nonce!r}", src=src
-                )
-            )
-    if ftype in ("reply", "deleg"):
-        lower = body.get("lower")
-        upper = body.get("upper")
-        for name, value in (("lower", lower), ("upper", upper)):
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-            ):
-                return DecodeResult(
-                    error=WireError(
-                        "bad-frame", f"{ftype} needs a finite {name}, got {value!r}", src=src
-                    )
-                )
-        if lower > upper:
-            return DecodeResult(
-                error=WireError(
-                    "bad-frame", f"{ftype} bound is empty: [{lower}, {upper}]", src=src
-                )
-            )
-        bound = ClockBound(float(lower), float(upper))
-        degraded = body.get("degraded", False)
-        if not isinstance(degraded, bool):
-            return DecodeResult(
-                error=WireError("bad-frame", f"{ftype} degraded flag is not a bool", src=src)
-            )
-        age = body.get("age", 0.0)
-        if (
-            isinstance(age, bool)
-            or not isinstance(age, (int, float))
-            or not math.isfinite(age)
-            or age < 0
-        ):
-            return DecodeResult(
-                error=WireError(
-                    "bad-frame", f"{ftype} needs a finite non-negative age, got {age!r}", src=src
-                )
-            )
-        age = float(age)
-    if ftype == "deleg":
-        hops = body.get("hops")
-        if not isinstance(hops, int) or isinstance(hops, bool) or not (
-            1 <= hops <= MAX_DELEGATION_HOPS
-        ):
-            # the K2 <= 2 indirection bound is part of the wire contract:
-            # a frame claiming deeper indirection is rejected, not widened
-            return DecodeResult(
-                error=WireError(
-                    "bad-frame",
-                    f"deleg hops must be in [1, {MAX_DELEGATION_HOPS}], got {hops!r}",
-                    src=src,
-                )
-            )
-        stratum = body.get("stratum")
-        if not isinstance(stratum, int) or isinstance(stratum, bool) or stratum < 0:
-            return DecodeResult(
-                error=WireError(
-                    "bad-frame", f"deleg needs a non-negative stratum, got {stratum!r}", src=src
-                )
-            )
-    if ftype == "shed":
-        retry_after = body.get("retry_after")
-        if (
-            isinstance(retry_after, bool)
-            or not isinstance(retry_after, (int, float))
-            or not math.isfinite(retry_after)
-            or retry_after < 0
-        ):
-            return DecodeResult(
-                error=WireError(
-                    "bad-frame",
-                    f"shed needs a finite non-negative retry_after, got {retry_after!r}",
-                    src=src,
-                )
-            )
-        retry_after = float(retry_after)
-        reason = body.get("reason", "overload")
-        if not isinstance(reason, str) or not reason:
-            return DecodeResult(
-                error=WireError("bad-frame", "shed reason is not a non-empty string", src=src)
-            )
-    payload = None
-    boot = None
-    if ftype == "sync":
-        if isinstance(lt, bool) or not isinstance(lt, (int, float)):
-            return DecodeResult(
-                error=WireError("bad-frame", f"sync needs a numeric lt, got {lt!r}", src=src)
-            )
-        lt = float(lt)
-        try:
-            payload = HistoryPayload.from_dict(body.get("payload", {}))
-        except ValueError as exc:
-            return DecodeResult(error=WireError("bad-payload", str(exc), src=src))
-        if "boot" in body:
-            try:
-                boot = BootstrapSnapshot.from_dict(body["boot"])
-            except ValueError as exc:
-                return DecodeResult(error=WireError("bad-boot", str(exc), src=src))
-    return DecodeResult(
-        frame=Frame(
-            type=ftype,
-            src=src,
-            dst=dst,
-            seq=seq if ftype in ("sync", "ack") else None,
-            lt=lt if ftype == "sync" else None,
-            payload=payload,
-            boot=boot,
-            nonce=nonce,
-            bound=bound,
-            degraded=degraded,
-            age=age,
-            retry_after=retry_after,
-            reason=reason,
-            hops=hops,
-            stratum=stratum,
-            meta=dict(meta),
-        ),
-        version=version,
-    )
+    return _decode_at(data, 0, True)[0]
 
 
 def decode_frames(data: bytes):
@@ -676,19 +667,11 @@ def decode_frames(data: bytes):
     boundary.
     """
     offset = 0
-    total = len(data)
-    while offset < total:
-        chunk = data[offset:]
-        if len(chunk) < _HEADER.size:
-            yield decode_frame(chunk)  # short-frame
-            return
-        magic, version, length = _HEADER.unpack_from(chunk)
-        if magic != MAGIC or length > MAX_BODY_BYTES:
-            yield decode_frame(chunk)  # bad-magic / oversized
-            return
-        end = _HEADER.size + length
-        if len(chunk) < end:
-            yield decode_frame(chunk)  # length-mismatch (truncated)
-            return
-        yield decode_frame(chunk[:end])
-        offset += end
+    while offset is not None and offset < len(data):
+        result, offset = _decode_at(data, offset, False)
+        yield result
+
+
+# the binary codec builds on everything above (schema, rules, Frame), and
+# encode_frame/decode_frame dispatch into it: import it last
+from . import codec as _codec  # noqa: E402

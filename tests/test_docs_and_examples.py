@@ -88,3 +88,45 @@ def test_documented_names_exist(doc):
                 dangling.append(name)
     assert checked, f"no CamelCase names found in {doc}"
     assert dangling == [], f"{doc} names nothing in the source defines: {sorted(set(dangling))}"
+
+
+def test_runtime_frame_field_table_is_the_schema():
+    """``docs/RUNTIME.md``'s "Frame fields" tables are ``FRAME_SCHEMA``.
+
+    The doc table is the only prose listing of per-type fields (the
+    ``wire``/``codec`` docstrings point to it): same frame types in the
+    same order, same fields in wire order, same kind and JSON default,
+    and the kind table names exactly the kinds that have a rule.
+    """
+    import json
+    import re
+
+    from repro.rt import codec, wire
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    section = (root / "docs" / "RUNTIME.md").read_text().split("#### Frame fields", 1)[1]
+    section = section.split("\n**Codec negotiation", 1)[0]
+    rows = [
+        [cell.strip() for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    fields = [row for row in rows if row[0].strip("`") in wire.FRAME_TYPES]
+    kinds = [row for row in rows if row not in fields]
+
+    def rendered(kind, default):
+        if default is None:
+            return "absent" if kind == "boot" else "-"
+        return f"`{json.dumps(default)}`"
+
+    documented = {}
+    for ftype, field, *rest in fields:
+        listed = documented.setdefault(ftype.strip("`"), [])
+        if re.fullmatch(r"`\w+`", field):
+            listed.append((field.strip("`"), rest[0].strip("`"), rest[1]))
+    assert list(documented) == list(wire.FRAME_TYPES)
+    assert documented == {
+        ftype: [(attr, kind, rendered(kind, default)) for attr, kind, default in spec]
+        for ftype, spec in wire.FRAME_SCHEMA.items()
+    }
+    assert [row[0].strip("`") for row in kinds] == list(wire._KINDS) == list(codec._BINARY)
