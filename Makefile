@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-json bench-compare bench-refresh bench-e2e bench-layers experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
+.PHONY: install test bench bench-json bench-compare bench-refresh bench-e2e bench-layers bench-ab experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
 
 # relative slowdown tolerated by the perf gate before it fails.  0.75
 # accommodates CPU-throttled/shared dev machines (observed run-to-run
@@ -63,6 +63,13 @@ bench-e2e:
 
 bench-layers:
 	$(PYTHON) -m bench trace
+
+# `make bench-ab BASE=<rev> [SEED=0] [REPEATS=3] [WORKLOADS="..."]`: the
+# layered benchmark at BASE (a temporary git worktree) against the working
+# tree, alternating which side runs first, judged by `python -m bench compare`
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev>"; exit 2; }
+	PYTHON="$(PYTHON)" scripts/bench_ab.sh "$(BASE)" $(WORKLOADS)
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli

@@ -23,12 +23,19 @@ inserts per node, not per edge: ``d(., p)`` and ``d(p, .)`` are min-plus
 products of the old matrix with ``p``'s in- and out-edges (``O(L * deg)``)
 and the old pairs close through ``p`` once,
 
-    ``d'(r, s) = min(d(r, s), d(r, p) + d(p, s))``,
+    ``d'(r, s) = min(d(r, s), d(r, p) + d(p, s))``.
 
-``O(L^2)`` per *step*.  Each edge is tested for closing a negative cycle
-before anything is written, so a caller may collect the inconsistent ones
-and keep the rest (degraded mode).  Killing a node simply deletes its row
-and column; Lemma 3.4 guarantees no live-live distance is lost.
+A *timeline event* - a send or internal event, whose only edges are the
+drift pair to its processor's previous event ``q`` - needs no closure at
+all: every detour through ``p`` is ``q -> p -> q``, a cycle of weight
+``(beta - alpha) * delta >= 0``, so no old pair improves and the step is
+``d(., p) = d(., q) + w_in``, ``d(p, .) = d(q, .) + w_out``.  A step
+therefore costs ``O(L^2)`` per receive, ``O(L)`` per timeline event.
+Each edge is tested for closing a negative cycle before anything is
+written, so a caller may collect the inconsistent ones and keep the rest
+(degraded mode).  Killing a node simply deletes its row and column - a
+step that kills writes its new node over the first victim instead of
+beside it; Lemma 3.4 guarantees no live-live distance is lost.
 
 For the garbage-collection ablation (experiment A1) the solver can be run
 with ``gc_enabled=False``: dead nodes are then retained, which preserves
@@ -59,11 +66,13 @@ class AGDPStats:
     nodes_killed: int = 0
     edges_inserted: int = 0
     #: total pair-relaxation candidates examined: per closure, the pairs
-    #: with finite ``col[r]`` and ``row[s]`` - once per node on the ``step``
-    #: path, once per edge through ``insert_edge``; every backend counts
-    #: this same quantity, so complexity plots are backend-independent
+    #: with finite ``col[r]`` and ``row[s]`` - once per node with two or
+    #: more peers on the ``step`` path (a single-peer node closes nothing),
+    #: once per edge through ``insert_edge``; every backend counts this
+    #: same quantity, so complexity plots are backend-independent
     pair_updates: int = 0
-    #: largest node-set size ever held (live + in-flight insertions)
+    #: largest node-set size ever held (a node that takes over the place
+    #: of one its step kills is never held beside it)
     max_nodes: int = 0
 
     def matrix_cells(self) -> int:
@@ -216,12 +225,13 @@ class AGDP:
     def _close(self, col: Dict[NodeKey, float], row: Dict[NodeKey, float]) -> None:
         """``d(r, s) = min(d(r, s), col[r] + row[s])`` over the finite entries.
 
-        The one closure routine: :meth:`step` calls it once per node with
-        the new node's distance column/row, :meth:`insert_edge` once per
-        edge with ``d(., x) + w`` and ``d(y, .)``.  ``pair_updates`` is
-        charged here as the number of finite relaxation candidates - the
-        backend-independent cost unit (the numpy backend charges the
-        identical quantity and sums in the identical order).
+        The one closure routine: :meth:`step` calls it once per node that
+        has more than one peer, with the node's distance column/row,
+        :meth:`insert_edge` once per edge with ``d(., x) + w`` and ``d(y,
+        .)``.  ``pair_updates`` is charged here as the number of finite
+        relaxation candidates - the backend-independent cost unit (the
+        numpy backend charges the identical quantity and sums in the
+        identical order).
         """
         self.stats.pair_updates += len(col) * len(row)
         dist = self._dist
@@ -235,7 +245,7 @@ class AGDP:
 
     def kill(self, node: NodeKey) -> None:
         """Unmark ``node`` as live; with gc enabled, drop its row and column."""
-        if node not in self._dist:
+        if node not in self._dist or node in self._dead:
             raise KeyError(f"node {node!r} is not present")
         if self._source is not None and node == self._source:
             raise ValueError("the source node is live forever")
@@ -267,38 +277,81 @@ class AGDP:
         are therefore min-plus products of the *old* matrix with the in-
         and out-edges - ``O(L)`` per edge - and the old pairs close through
         it once, ``d(r, s) = min(d(r, s), d(r, node) + d(node, s))``:
-        ``O(L^2)`` per step (Lemma 3.5).
+        ``O(L^2)`` per receive (Lemma 3.5).
+
+        **One peer, no closure.**  While every accepted edge joins ``node``
+        to the same old node ``q`` (a send or internal event: the drift
+        pair to its processor's previous event) only the scalars ``w_in =
+        min w(q -> node)`` and ``w_out = min w(node -> q)`` are kept, and
+        the step finishes with ``d(., node) = d(., q) + w_in``, ``d(node,
+        .) = d(q, .) + w_out`` and no closure: every detour through
+        ``node`` is ``q -> node -> q``, a cycle the refusal test keeps
+        non-negative, so no old pair can improve.  ``O(L)``, no
+        ``pair_updates``.  The row/column path starts when a second peer
+        appears.
+
+        **Take-over.**  When the step kills, ``node`` is written straight
+        into the first victim's place instead of being added and the
+        victim deleted after; :meth:`kill` handles the victims beyond it.
 
         Each edge is tested for closing a negative cycle against the
-        row/column built from the edges accepted before it, and nothing is
-        written until every edge has been tested.  An inconsistent edge
-        raises :class:`InconsistentSpecificationError` - or, when the
-        caller passes a ``refused`` list, is appended to it (the error,
-        carrying ``edge``) and skipped, so a quarantining caller keeps the
-        rest of the step.  The edges accepted before a raise are applied,
-        exactly as if they had been inserted one by one.
+        scalars or row/column built from the edges accepted before it, and
+        nothing is written until every edge has been tested.  An
+        inconsistent edge raises :class:`InconsistentSpecificationError` -
+        or, when the caller passes a ``refused`` list, is appended to it
+        (the error, carrying ``edge``) and skipped, so a quarantining
+        caller keeps the rest of the step.  The edges accepted before a
+        raise are applied, exactly as if they had been inserted one by
+        one, and no kill is.
         """
-        self.add_node(node)
         dist = self._dist
-        col: Dict[NodeKey, float] = {}  # finite d(r, node) over the old nodes
-        row: Dict[NodeKey, float] = {}  # finite d(node, s) over the old nodes
+        if node in dist:
+            raise ValueError(f"node {node!r} already present")
+        stats = self.stats
+        stats.nodes_added += 1
+        peer = None  # the only old node the accepted edges touch so far
+        w_in = w_out = INF  # min w(peer -> node), min w(node -> peer)
+        # once a second peer appears: the finite d(r, node) and d(node, s)
+        col: Optional[Dict[NodeKey, float]] = None
+        row: Optional[Dict[NodeKey, float]] = None
+        victim = None  # the first kill, whose place node takes over
         try:
             for x, y, w in edges:
-                if node not in (x, y):
+                if x == node:
+                    other = y
+                elif y == node:
+                    other = x
+                else:
                     raise not_incident_error(node, x, y)
-                if x not in dist or y not in dist:
+                if other != node and other not in dist:
                     raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
                 if math.isnan(w):
                     raise ValueError("edge weight must not be NaN")
                 if math.isinf(w):
                     continue  # a TOP bound carries no information
-                if x == y:
+                if other == node:
                     if w < 0:
                         refuse(refused, negative_self_loop_error(x, w))
                     continue
-                self.stats.edges_inserted += 1
+                stats.edges_inserted += 1
                 # the only paths between node and its peer so far are the
-                # row/column built from the edges accepted before this one
+                # edges accepted before this one: the two scalars, or the
+                # row/column built from them
+                if col is None:
+                    if peer is None or other == peer:
+                        peer = other
+                        if x == node:
+                            if w_in + w < -1e-9:
+                                refuse(refused, negative_cycle_error(x, y, w, w_in))
+                            elif w < w_out:
+                                w_out = w
+                        elif w_out + w < -1e-9:
+                            refuse(refused, negative_cycle_error(x, y, w, w_out))
+                        elif w < w_in:
+                            w_in = w
+                        continue
+                    col = {r: d for r, out in dist.items() if (d := out[peer] + w_in) != INF}
+                    row = {s: d for s, c in dist[peer].items() if (d := c + w_out) != INF}
                 if x == node:
                     back = col.get(y, INF)
                     if back + w < -1e-9:
@@ -316,16 +369,41 @@ class AGDP:
                         d = out[x]
                         if d != INF and d + w < col.get(r, INF):
                             col[r] = d + w
+            kills = list(kills)
+            if (
+                kills
+                and self._gc_enabled
+                and kills[0] in dist
+                and (self._source is None or kills[0] != self._source)
+            ):
+                victim = kills.pop(0)
         finally:
-            dist[node].update(row)
-            for r, d in col.items():
-                dist[r][node] = d
-            if col and row:
-                self._close(col, row)
+            # d(node, .) and d(., node) over every old node
+            if col is not None:
+                if col and row:
+                    self._close(col, row)
+                reach = {s: row.get(s, INF) for s in dist}
+                back_to = {r: col.get(r, INF) for r in dist}
+            elif peer is not None:
+                reach = {s: d + w_out for s, d in dist[peer].items()}
+                back_to = {r: out[peer] + w_in for r, out in dist.items()}
+            else:
+                reach = dict.fromkeys(dist, INF)
+                back_to = dict(reach)
+            if victim is not None:
+                stats.nodes_killed += 1
+                del dist[victim], reach[victim]
+            for r, out in dist.items():
+                out.pop(victim, None)
+                out[node] = back_to[r]
+            reach[node] = 0.0
+            dist[node] = reach
+            if len(dist) > stats.max_nodes:
+                stats.max_nodes = len(dist)
             if self.invariant_hook is not None:
                 self.invariant_hook(self)
-        for victim in kills:
-            self.kill(victim)
+        for later in kills:
+            self.kill(later)
 
     def step_batch(
         self,

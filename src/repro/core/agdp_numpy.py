@@ -8,22 +8,30 @@ block, and the old pairs close through ``p`` with
 
     ``d'(r, s) = min(d(r, s), d(r, p) + d(p, s))``
 
-as a single outer-sum + elementwise-min over a dense ``float64`` matrix:
-``O(L^2)`` per step, not per edge.
+as a single outer-sum + elementwise-min over a dense ``float64`` matrix;
+a node whose edges all go to one old node ``q`` (a timeline event: a send
+or internal event and its drift pair) is two vector adds on ``q``'s row
+and column and no closure.  ``O(L^2)`` per receive, ``O(L)`` per timeline
+event.
 
 **Compacted-slot invariant.**  The present nodes always occupy the
 contiguous slot prefix ``[0, n)`` of the matrix, so the active block is
 the plain view ``matrix[:n, :n]`` - no sorted slot list, no fancy-indexed
-block copies.  :meth:`kill` vacates a slot by swapping the last occupied
-row/column into it (two row/column copies, O(n)) and shrinking the
-prefix; a new node appends at slot ``n`` (amortised O(n) with capacity
-doubling).  The closure then runs as an in-place ``np.minimum`` against
-an outer sum written into a preallocated scratch block.
+block copies.  A step that kills writes its new node straight into the
+first victim's slot (in place, when the victim is that ``q``: the live
+point slides along its processor's timeline); one that kills nobody
+appends at slot ``n`` (amortised O(n) with capacity doubling).
+:meth:`kill` - victims beyond the first, and direct callers - vacates a
+slot by swapping the last occupied row/column into it (two row/column
+copies, O(n)) and shrinking the prefix.  The closure runs as an in-place
+``np.minimum`` against an outer sum written into a preallocated scratch
+block.
 
 ``pair_updates`` counts exactly what the dict backend counts - the finite
 relaxation candidates ``finite(col) * finite(row)`` of each closure,
-charged once per node - so complexity plots are backend-independent, and
-floats are summed in the same order, so distances are bit-identical.
+single-peer steps charging none - so complexity plots are
+backend-independent, and floats are summed in the same order, so
+distances are bit-identical.
 
 **Source-only mode** (``source_only=True``): for consumers that only ever
 read distances to/from one *anchor* node (the estimator's current source
@@ -257,14 +265,14 @@ class NumpyAGDP:
     def _close(self, block, col, row) -> None:
         """``block[r, s] = min(block[r, s], col[r] + row[s])``, in place.
 
-        The one closure routine: :meth:`step` calls it once per node with
-        the new node's distance column/row, :meth:`insert_edge` once per
-        edge with ``d(., x) + w`` and ``d(y, .)``.  ``pair_updates`` is
-        charged here, where the work happens, as the number of finite
-        relaxation candidates (stored distances are finite or +inf, never
-        NaN/-inf, so ``< inf`` is the finiteness test); the dict backend
-        counts the identical quantity and sums in the identical order, so
-        both produce bit-identical floats.
+        The one closure routine: :meth:`step` calls it once per node that
+        has more than one peer, with the node's distance column/row,
+        :meth:`insert_edge` once per edge with ``d(., x) + w`` and ``d(y,
+        .)``.  ``pair_updates`` is charged here, where the work happens, as
+        the number of finite relaxation candidates (stored distances are
+        finite or +inf, never NaN/-inf, so ``< inf`` is the finiteness
+        test); the dict backend counts the identical quantity and sums in
+        the identical order, so both produce bit-identical floats.
         """
         self.stats.pair_updates += np.count_nonzero(col < np.inf) * np.count_nonzero(
             row < np.inf
@@ -275,7 +283,7 @@ class NumpyAGDP:
         np.minimum(block, scratch, out=block)
 
     def kill(self, node: NodeKey) -> None:
-        if node not in self:
+        if node not in self or node in self._dead:
             raise KeyError(f"node {node!r} is not present")
         if self._source is not None and node == self._source:
             raise ValueError("the source node is live forever")
@@ -314,13 +322,18 @@ class NumpyAGDP:
     ) -> None:
         """One AGDP input step, inserted node-wise; see :meth:`AGDP.step`.
 
-        ``node`` takes the last slot with no edges yet, so its distance
-        column ``d(., node)`` / row ``d(node, .)`` over the old nodes are
-        min-plus products of the *old* block with its in-/out-edges (one
-        vector ``add`` + ``minimum`` per edge), and the old pairs close
-        through it with a single outer sum.  Nothing is written before
-        every edge has been tested, and what was accepted is written even
-        when a later edge raises.
+        Nothing is written before every edge has been tested, and what was
+        accepted is written even when a later edge raises.  While the
+        accepted edges touch one old node ``q`` only two scalars are kept
+        and the step ends in two vector adds, ``d(., node) = d(., q) +
+        w_in`` and ``d(node, .) = d(q, .) + w_out``, with no closure; from
+        the second peer on, the distance column/row over the old nodes are
+        min-plus products of the *old* block with the in-/out-edges (one
+        vector ``add`` + ``minimum`` per edge) and the old pairs close
+        through ``node`` with a single outer sum.  Either way the result
+        goes straight into the slot of the first node the step kills
+        (in place on ``q``'s own row and column when that is ``q``), or
+        into slot ``n`` when it kills none.
         """
         if self._source_only:
             self._so_step(node, edges, kills)
@@ -329,18 +342,15 @@ class NumpyAGDP:
         if node in slot:
             raise ValueError(f"node {node!r} already present")
         m = self._n
-        if m == self._capacity:
-            self._grow()
-        slot[node] = m
-        self._keys.append(node)
-        self._n = m + 1
+        slot[node] = m  # until the step knows whose slot it takes over
         stats = self.stats
         stats.nodes_added += 1
-        if m >= stats.max_nodes:
-            stats.max_nodes = m + 1
-        matrix = self._matrix
-        old = matrix[:m, :m]
-        col = row = None  # d(., node) / d(node, .) over the old nodes
+        old = self._matrix[:m, :m]
+        peer = None  # slot of the only old node the accepted edges touch so far
+        w_in = w_out = INF  # min w(peer -> node), min w(node -> peer)
+        # once a second peer appears: d(., node) / d(node, .) over the old nodes
+        col = row = None
+        take = None  # slot of the first kill, which node takes over
         try:
             for x, y, w in edges:
                 xi = slot.get(x)
@@ -359,31 +369,71 @@ class NumpyAGDP:
                     continue
                 stats.edges_inserted += 1
                 # the only paths between node and its peer so far are the
-                # row/column built from the edges accepted before this one
+                # edges accepted before this one: the two scalars, or the
+                # row/column built from them
+                if col is None:
+                    other = yi if xi == m else xi
+                    if peer is None or other == peer:
+                        peer = other
+                        if xi == m:
+                            if w_in + w < -1e-9:
+                                refuse(refused, negative_cycle_error(x, y, w, w_in))
+                            elif w < w_out:
+                                w_out = w
+                        elif w_out + w < -1e-9:
+                            refuse(refused, negative_cycle_error(x, y, w, w_out))
+                        elif w < w_in:
+                            w_in = w
+                        continue
+                    col = old[:, peer] + w_in
+                    row = old[peer] + w_out
                 if xi == m:
-                    back = INF if col is None else col[yi]
+                    back = col[yi]
                     if back + w < -1e-9:
                         refuse(refused, negative_cycle_error(x, y, w, back))
                         continue
-                    reach = old[yi] + w
-                    row = reach if row is None else np.minimum(row, reach, out=row)
+                    np.minimum(row, old[yi] + w, out=row)
                 else:
-                    back = INF if row is None else row[xi]
+                    back = row[xi]
                     if back + w < -1e-9:
                         refuse(refused, negative_cycle_error(x, y, w, back))
                         continue
-                    reach = old[:, xi] + w
-                    col = reach if col is None else np.minimum(col, reach, out=col)
+                    np.minimum(col, old[:, xi] + w, out=col)
+            kills = list(kills)
+            if kills and self._gc_enabled:
+                take = slot.get(kills[0])
+                if take == m or (self._source is not None and kills[0] == self._source):
+                    take = None
         finally:
-            matrix[m, :m] = np.inf if row is None else row
-            matrix[:m, m] = np.inf if col is None else col
-            matrix[m, m] = 0.0
-            if col is not None and row is not None:
-                self._close(old, col, row)
+            if take is None:
+                if m == self._capacity:
+                    self._grow()
+                take = m
+                self._keys.append(node)
+                self._n = m + 1
+                if m >= stats.max_nodes:
+                    stats.max_nodes = m + 1
+            else:
+                stats.nodes_killed += 1
+                del slot[kills.pop(0)]
+                slot[node] = take
+                self._keys[take] = node
+            matrix = self._matrix
+            if col is not None:
+                self._close(matrix[:m, :m], col, row)
+                matrix[take, :m] = row
+                matrix[:m, take] = col
+            elif peer is not None:
+                np.add(matrix[peer, :m], w_out, out=matrix[take, :m])
+                np.add(matrix[:m, peer], w_in, out=matrix[:m, take])
+            else:
+                matrix[take, :m] = INF
+                matrix[:m, take] = INF
+            matrix[take, take] = 0.0
             if self.invariant_hook is not None:
                 self.invariant_hook(self)
-        for victim in kills:
-            self.kill(victim)
+        for later in kills:
+            self.kill(later)
 
     def step_batch(
         self,

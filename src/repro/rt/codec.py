@@ -113,10 +113,6 @@ def _put_varint(out: bytearray, value: int) -> None:
             return
 
 
-def _put_zigzag(out: bytearray, value: int) -> None:
-    _put_varint(out, (value << 1) if value >= 0 else ((-value) << 1) - 1)
-
-
 class _Truncated(Exception):
     """Internal decode failure; converted to a WireError, never escapes."""
 
@@ -214,9 +210,9 @@ class _StringTable:
 def _pack_payload(out: bytearray, table: _StringTable, payload: HistoryPayload) -> None:
     # fully inlined: this loop runs once per record of every sync frame a
     # node emits, so varint emission is open-coded for the one-byte common
-    # case instead of calling _put_varint/_put_zigzag per field, and the
-    # event kind is resolved by identity (enum __hash__ is a Python-level
-    # call and shows up hot under profile)
+    # case instead of calling _put_varint per field (zigzag folded in),
+    # and the event kind is resolved by identity (enum __hash__ is a
+    # Python-level call and shows up hot under profile)
     append = out.append
     extend = out.extend
     index = table.index

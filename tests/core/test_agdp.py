@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core import (
     AGDP,
     InconsistentSpecificationError,
+    NumpyAGDP,
     WeightedDigraph,
     floyd_warshall,
 )
@@ -223,14 +224,18 @@ def test_gc_off_matches_gc_on(steps):
 
 class TestStats:
     def test_counters(self):
-        agdp = AGDP(source="s")
-        agdp.step("a", [("s", "a", 1.0)])
-        agdp.step("b", [("a", "b", 1.0)], kills=["a"])
-        assert agdp.stats.nodes_added == 3
-        assert agdp.stats.nodes_killed == 1
-        assert agdp.stats.edges_inserted == 2
-        assert agdp.stats.max_nodes == 3
-        assert agdp.stats.matrix_cells() == 9
+        for backend in (AGDP, NumpyAGDP):
+            agdp = backend(source="s")
+            agdp.step("a", [("s", "a", 1.0)])
+            agdp.step("b", [("a", "b", 1.0)], kills=["a"])
+            assert agdp.stats.nodes_added == 3
+            assert agdp.stats.nodes_killed == 1
+            assert agdp.stats.edges_inserted == 2
+            # b took over a's place: {s, a} -> {s, b}, never three nodes held
+            assert agdp.stats.max_nodes == 2
+            assert agdp.stats.matrix_cells() == 4
+            agdp.step("c", [("b", "c", 1.0)])
+            assert agdp.stats.max_nodes == 3
 
     def test_steady_state_driver_holds_live_target(self):
         agdp = steady_state_agdp(live_target=10, steps=40, seed=1)

@@ -202,7 +202,8 @@ def _assert_agdp_equal(new, ref, live):
     assert new.stats.nodes_added == ref.stats.nodes_added
     assert new.stats.nodes_killed == ref.stats.nodes_killed
     assert new.stats.edges_inserted == ref.stats.edges_inserted
-    assert new.stats.max_nodes == ref.stats.max_nodes
+    # the reference holds a step's node beside its victim; a take-over never
+    assert len(new) <= new.stats.max_nodes <= ref.stats.max_nodes
 
 
 @settings(max_examples=60, deadline=None)
