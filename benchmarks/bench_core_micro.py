@@ -19,15 +19,8 @@ from repro.core import (
     extremal_execution,
     source_point,
 )
-from repro.core.csa_base import SuspicionPolicy
 from repro.core.history import HistoryModule
 from repro.sim import run_workload, standard_network, topologies
-from repro.sim.faults import (
-    FaultPlan,
-    LateJoin,
-    RetransmitPolicy,
-    StateCorruption,
-)
 from repro.sim.workloads import PeriodicGossip
 
 
@@ -133,47 +126,3 @@ def test_history_gossip_rounds(benchmark):
     assert all(
         m.known_seq(q) == 11 for m in modules.values() for q in procs
     )
-
-
-def test_gossip_under_churn(benchmark):
-    """Gossip with mid-run churn: join handshake + corruption rebuild.
-
-    A six-processor line where one processor joins late (sponsor-snapshot
-    bootstrap) and another has its AGDP scrambled mid-run (self-heal
-    replay from the durable event log).  Sizes the overhead the churn
-    layer adds to an ordinary unreliable gossip run: the snapshot
-    export/adopt, the watermark handoff, and one full log replay.
-    """
-    names, links = topologies.line(6)
-
-    def churn_run():
-        network = standard_network(names, links, seed=23, loss_prob=0.01)
-        plan = FaultPlan(
-            injections=(
-                LateJoin(names[5], 20.0, sponsor=names[4]),
-                StateCorruption(names[2], 35.0, "agdp"),
-            ),
-        )
-        return run_workload(
-            network,
-            PeriodicGossip(period=2.0, seed=23),
-            {
-                "efficient": lambda p, s: EfficientCSA(
-                    p,
-                    s,
-                    reliable=False,
-                    self_heal=True,
-                    suspicion=SuspicionPolicy(),
-                )
-            },
-            duration=60.0,
-            seed=23,
-            sample_period=5.0,
-            faults=plan,
-            retransmit=RetransmitPolicy(timeout=1.0, backoff=2.0, max_retries=3),
-        )
-
-    result = benchmark(churn_run)
-    assert result.sim.faults.injected["joins_bootstrapped"] == 1
-    assert result.sim.faults.injected["corruptions"] == 1
-    assert result.soundness_violations() == []

@@ -1,12 +1,12 @@
 """E1 benchmark - cost of optimal synchronization (Theorem 2.1 / Sec 3).
 
-Benchmarks a complete gossip execution with the efficient optimal CSA
-attached, and the from-scratch oracle computation (full view + Bellman-
-Ford) for contrast.  The experiment table (soundness, equality, tightness
-checks) is printed once.
+Benchmarks the from-scratch oracle computation (full view + Bellman-Ford)
+on a gossip execution - the per-query price the AGDP machinery amortises
+away.  What the efficient CSA itself costs on such a run is measured end
+to end by the layered benchmark (``python -m bench``, workload
+``sim-line12-gossip``).  The experiment table (soundness, equality,
+tightness checks) is printed once.
 """
-
-import pytest
 
 from repro.core import EfficientCSA, build_sync_graph, external_bounds
 
@@ -23,16 +23,10 @@ def run_with_efficient_csa():
     return sim
 
 
-def test_efficient_csa_full_run(benchmark, request):
-    print_experiment_once(request, "e1-optimality", duration=40.0)
-    sim = benchmark(run_with_efficient_csa)
-    for proc in sim.network.processors:
-        assert sim.estimator(proc, "efficient").estimate().is_bounded
-
-
-def test_oracle_from_scratch_query(benchmark):
+def test_oracle_from_scratch_query(benchmark, request):
     """Price of one optimal query recomputed from the whole view - the
     baseline cost the AGDP machinery amortises away."""
+    print_experiment_once(request, "e1-optimality", duration=40.0)
     sim = run_with_efficient_csa()
     view = sim.trace.global_view()
     spec = sim.spec

@@ -93,6 +93,26 @@ def test_agdp_send_receive_mix(benchmark, live):
     assert 0 < agdp.stats.pair_updates <= TIMELINE_EVENTS // 2 * live**2
 
 
+@pytest.mark.parametrize("live", [16, 64])
+def test_agdp_closure(benchmark, live):
+    """One closure as a receive pays it, over whole rows: with the live set
+    one short of the capacity an ``m x m`` view of the matrix would not be
+    contiguous (numpy then runs ``m`` inner loops of ``m``), the ``m x
+    capacity`` block of rows is."""
+    agdp, heads = _timelines(live)
+    agdp.kill(heads[-1])
+    m = len(agdp)
+    assert m == live - 1 < agdp._capacity
+    col = agdp._matrix[:m, 1] + 0.25
+    row = agdp._matrix[1, :m] + 0.75
+    benchmark(agdp._close, m, col, row)
+    # the operands _close hands to numpy
+    assert agdp._matrix[:m].flags.c_contiguous
+    assert agdp._scratch[:m].flags.c_contiguous
+    assert agdp._padded.shape == (agdp._capacity,)
+    assert agdp.distance(heads[1], heads[2]) == 1.0  # through the source, untouched
+
+
 # the edge-insertion speedup gate: `make bench-compare` asserts the
 # compacted numpy backend beats dict by >= 2x at live >= 128 (these ids
 # are referenced by the Makefile's --assert-speedup flags)

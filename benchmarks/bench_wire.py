@@ -4,7 +4,7 @@ The binary codec's reason to exist is protocol overhead: every gossip
 round pays one encode on the sender and one decode on the receiver, and
 at cluster scale that marshalling dominated the committed bench
 trajectory.  ``test_sync_encode_decode[binary]`` vs ``[json]`` is the
-within-run speedup gate (``bench-compare`` pins binary >= 3x on the
+within-run speedup gate (``bench-compare`` pins binary >= 2.75x on the
 sync-frame round trip); the coalesced-flush benchmark covers the
 many-frames-per-datagram path that `Node._flush_outbox` emits and
 ``decode_frames`` consumes.

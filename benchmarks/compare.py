@@ -16,8 +16,8 @@ Stdlib only (CI installs nothing for it).  Usage::
 * the committed baseline is a *summary*: per benchmark only
   ``mean/median/stddev/min/max/rounds`` (pytest-benchmark's raw JSON
   carries every sample - 3 MB and a 150k-line diff per rebless).
-  ``summarize`` writes it from a raw run, carrying over the target's
-  ``frozen`` section; either format is accepted wherever a file is read.
+  ``summarize`` writes it from a raw run; either format is accepted
+  wherever a file is read.
 
 * tolerance is relative: ``--tolerance 0.25`` fails a benchmark whose
   mean grew more than 25% over baseline.  The ``BENCH_TOLERANCE``
@@ -31,12 +31,6 @@ Stdlib only (CI installs nothing for it).  Usage::
   run* - machine-independent, used to pin the compacted numpy AGDP
   backend's required speedup over the dict backend and the binary wire
   codec's speedup over JSON.
-* ``--assert-improved-vs-frozen NAME MIN_RATIO`` (repeatable) requires
-  ``mean(NAME frozen) / mean(NAME fresh) >= MIN_RATIO`` - a floor
-  against the baseline's ``frozen`` section (historical means that
-  ``summarize`` never overwrites), used to pin the batched engine +
-  binary wire speedups against the pre-optimization numbers even after
-  ``bench-refresh`` reblesses ``BENCH_core.json``.
 * ``--report PATH`` writes the comparison table as markdown (uploaded as
   a CI artifact).
 """
@@ -69,18 +63,11 @@ def _stats_by_name(benchmarks) -> Dict[str, dict]:
     return {bench["name"]: bench["stats"] for bench in benchmarks}
 
 
-def load_means(path: str, section: str | None = None) -> Dict[str, float]:
-    """Benchmark name -> mean seconds from a raw or summary JSON file.
-
-    ``section="frozen"`` reads the summary's frozen historical means
-    instead (empty for files without one).
-    """
-    data = _load(path)
-    if section is not None:
-        data = data.get(section, {"benchmarks": {}})
+def load_means(path: str) -> Dict[str, float]:
+    """Benchmark name -> mean seconds from a raw or summary JSON file."""
     return {
         name: float(stats["mean"])
-        for name, stats in _stats_by_name(data["benchmarks"]).items()
+        for name, stats in _stats_by_name(_load(path)["benchmarks"]).items()
     }
 
 
@@ -102,10 +89,6 @@ def summarize(raw_path: str, out_path: str) -> int:
             for name, stats in sorted(_stats_by_name(raw["benchmarks"]).items())
         },
     }
-    if os.path.exists(out_path):
-        frozen = _load(out_path).get("frozen")
-        if frozen:
-            summary["frozen"] = frozen
     with open(out_path, "w") as fh:
         json.dump(summary, fh, indent=1)
         fh.write("\n")
@@ -147,15 +130,6 @@ def main(argv: List[str] | None = None) -> int:
         default=[],
         metavar=("FAST", "SLOW", "MIN_RATIO"),
         help="require mean(SLOW)/mean(FAST) >= MIN_RATIO in the fresh run",
-    )
-    parser.add_argument(
-        "--assert-improved-vs-frozen",
-        nargs=2,
-        action="append",
-        default=[],
-        metavar=("NAME", "MIN_RATIO"),
-        help="require mean(NAME in the baseline's frozen section)"
-        "/mean(NAME in fresh) >= MIN_RATIO",
     )
     args = parser.parse_args(argv)
     if args.tolerance < 0:
@@ -206,33 +180,6 @@ def main(argv: List[str] | None = None) -> int:
             )
         speedups.append((fast, slow, required, actual, ok))
 
-    improvements = []  # (label, required, actual, ok)
-    frozen = load_means(args.baseline, "frozen")
-    for name, min_ratio in args.assert_improved_vs_frozen:
-        required = float(min_ratio)
-        label = f"{name} vs frozen"
-        missing = [
-            where
-            for where, means in (("the frozen section", frozen), ("the fresh run", fresh))
-            if name not in means
-        ]
-        if missing:
-            failures.append(
-                f"improvement gate {label}: {name} missing from "
-                + " and ".join(missing)
-            )
-            improvements.append((label, required, None, False))
-            continue
-        actual = frozen[name] / fresh[name]
-        ok = actual >= required
-        if not ok:
-            failures.append(
-                f"improvement gate: {name} = {format_seconds(fresh[name])} vs frozen "
-                f"{format_seconds(frozen[name])} ({actual:.2f}x, required >= "
-                f"{required:.2f}x)"
-            )
-        improvements.append((label, required, actual, ok))
-
     lines = [
         f"# Benchmark comparison",
         "",
@@ -264,21 +211,6 @@ def main(argv: List[str] | None = None) -> int:
                 "| {} vs {} | >= {:.2f}x | {} | {} |".format(
                     slow,
                     fast,
-                    required,
-                    f"{actual:.2f}x" if actual is not None else "-",
-                    "ok" if ok else "FAILED",
-                )
-            )
-    if improvements:
-        lines += [
-            "",
-            "| improvement gate | required | actual | status |",
-            "|---|---|---|---|",
-        ]
-        for label, required, actual, ok in improvements:
-            lines.append(
-                "| {} | >= {:.2f}x | {} | {} |".format(
-                    label,
                     required,
                     f"{actual:.2f}x" if actual is not None else "-",
                     "ok" if ok else "FAILED",

@@ -1,8 +1,10 @@
 """Shared builders for the benchmark harness.
 
-Each ``bench_*`` module regenerates one DESIGN.md experiment: it prints
-the experiment's rows (the "table") once per session and benchmarks the
-operation whose cost the corresponding paper claim is about.  Run with::
+Each ``bench_e*``/``bench_a*`` module belongs to one DESIGN.md experiment:
+it prints the experiment's rows (the "table") once per session and
+benchmarks the primitive whose cost the corresponding paper claim is
+about.  Whole simulated runs are timed by the layered benchmark
+(``python -m bench``), not here.  Run with::
 
     pytest benchmarks/ --benchmark-only
 """
@@ -24,8 +26,6 @@ def build_gossip_sim(
     drift_ppm=200.0,
     period=4.0,
     estimators=None,
-    loss_prob=0.0,
-    loss_detection_delay=3.0,
 ):
     """A ready-to-run gossip simulation (not yet executed)."""
     if topology == "ring":
@@ -36,15 +36,8 @@ def build_gossip_sim(
         names, links = topologies.star(n)
     else:
         raise ValueError(f"unknown topology {topology!r}")
-    network = standard_network(
-        names, links, seed=seed, drift_ppm=drift_ppm, loss_prob=loss_prob
-    )
-    sim = Simulation(
-        network,
-        seed=seed,
-        loss_detection_delay=loss_detection_delay,
-        confirm_deliveries=loss_prob > 0,
-    )
+    network = standard_network(names, links, seed=seed, drift_ppm=drift_ppm)
+    sim = Simulation(network, seed=seed)
     for name, factory in (estimators or {}).items():
         sim.attach_estimators(name, factory)
     PeriodicGossip(period=period, seed=seed).install(sim)

@@ -25,7 +25,10 @@ appends at slot ``n`` (amortised O(n) with capacity doubling).
 slot by swapping the last occupied row/column into it (two row/column
 copies, O(n)) and shrinking the prefix.  The closure runs as an in-place
 ``np.minimum`` against an outer sum written into a preallocated scratch
-block.
+block - over the whole rows ``matrix[:n]``, which are contiguous where
+the ``n x n`` view is not; the row operand is padded with ``+inf``, so
+the cells right of the block keep whatever they held (they are never
+read as distances).
 
 ``pair_updates`` counts exactly what the dict backend counts - the finite
 relaxation candidates ``finite(col) * finite(row)`` of each closure,
@@ -120,12 +123,16 @@ class NumpyAGDP:
             self._members: Set[NodeKey] = set()
         else:
             self._capacity = _INITIAL_CAPACITY
-            # cells outside the active prefix are never read before being
-            # re-initialised by add_node, so the backing store is empty
-            self._matrix = np.empty((self._capacity, self._capacity))
-            #: reusable candidate buffer for the closure's outer sum, grown
-            #: with the matrix
+            # cells outside the active prefix are never read as distances,
+            # but the whole-row closure takes ``min(cell, +inf)`` of the
+            # ones right of it: the store starts as +inf so that no NaN
+            # left in fresh memory ever meets that ``minimum``
+            self._matrix = np.full((self._capacity, self._capacity), np.inf)
+            #: reusable buffers of the closure, grown with the matrix and
+            #: always written before they are read: the candidates (outer
+            #: sum) and the row operand padded to a whole row
             self._scratch = np.empty((self._capacity, self._capacity))
+            self._padded = np.empty(self._capacity)
             self._n = 0
             self._slot: Dict[NodeKey, int] = {}
             self._keys: List[NodeKey] = []  # slot index -> node key
@@ -202,11 +209,12 @@ class NumpyAGDP:
 
     def _grow(self) -> None:
         new_capacity = self._capacity * 2
-        grown = np.empty((new_capacity, new_capacity))
+        grown = np.full((new_capacity, new_capacity), np.inf)
         n = self._n
         grown[:n, :n] = self._matrix[:n, :n]
         self._matrix = grown
         self._scratch = np.empty((new_capacity, new_capacity))
+        self._padded = np.empty(new_capacity)
         self._capacity = new_capacity
 
     def add_node(self, node: NodeKey) -> None:
@@ -251,25 +259,32 @@ class NumpyAGDP:
             return
         self.stats.edges_inserted += 1
         n = self._n
-        block = self._matrix[:n, :n]
-        back = block[yi, xi]
+        matrix = self._matrix
+        back = matrix[yi, xi]
         if back + weight < -1e-9:
             raise negative_cycle_error(x, y, weight, back)
-        if weight >= block[xi, yi]:
+        if weight >= matrix[xi, yi]:
             return
         # any strictly shorter path is r ~> x -> y ~> s (Ausiello et al.)
-        self._close(block, block[:, xi] + weight, block[yi, :])
+        self._close(n, matrix[:n, xi] + weight, matrix[yi, :n])
         if self.invariant_hook is not None:
             self.invariant_hook(self)
 
-    def _close(self, block, col, row) -> None:
-        """``block[r, s] = min(block[r, s], col[r] + row[s])``, in place.
+    def _close(self, m: int, col, row) -> None:
+        """``matrix[r, s] = min(matrix[r, s], col[r] + row[s])`` for ``r, s < m``.
 
         The one closure routine: :meth:`step` calls it once per node that
         has more than one peer, with the node's distance column/row,
         :meth:`insert_edge` once per edge with ``d(., x) + w`` and ``d(y,
-        .)``.  ``pair_updates`` is charged here, where the work happens, as
-        the number of finite relaxation candidates (stored distances are
+        .)``.  It works on whole rows: ``matrix[:m]`` and ``scratch[:m]``
+        are contiguous ``m x capacity`` blocks where the ``m x m`` views
+        are not (numpy would run ``m`` inner loops of ``m``), so the row
+        operand is padded to ``capacity`` with ``+inf`` - the cells right
+        of the active block only ever see ``min(x, +inf)`` and keep what
+        they held.
+
+        ``pair_updates`` is charged here, where the work happens, as the
+        number of finite relaxation candidates (stored distances are
         finite or +inf, never NaN/-inf, so ``< inf`` is the finiteness
         test); the dict backend counts the identical quantity and sums in
         the identical order, so both produce bit-identical floats.
@@ -277,9 +292,12 @@ class NumpyAGDP:
         self.stats.pair_updates += np.count_nonzero(col < np.inf) * np.count_nonzero(
             row < np.inf
         )
-        m = block.shape[0]
-        scratch = self._scratch[:m, :m]
-        np.add.outer(col, row, out=scratch)
+        padded = self._padded
+        padded[:m] = row
+        padded[m:] = np.inf
+        block = self._matrix[:m]
+        scratch = self._scratch[:m]
+        np.add.outer(col, padded, out=scratch)
         np.minimum(block, scratch, out=block)
 
     def kill(self, node: NodeKey) -> None:
@@ -345,7 +363,7 @@ class NumpyAGDP:
         slot[node] = m  # until the step knows whose slot it takes over
         stats = self.stats
         stats.nodes_added += 1
-        old = self._matrix[:m, :m]
+        matrix = self._matrix
         peer = None  # slot of the only old node the accepted edges touch so far
         w_in = w_out = INF  # min w(peer -> node), min w(node -> peer)
         # once a second peer appears: d(., node) / d(node, .) over the old nodes
@@ -353,10 +371,19 @@ class NumpyAGDP:
         take = None  # slot of the first kill, which node takes over
         try:
             for x, y, w in edges:
-                xi = slot.get(x)
-                yi = slot.get(y)
-                if xi != m and yi != m:
-                    raise not_incident_error(node, x, y)
+                # the caller's edges name the new node by the object it
+                # passed as ``node``: identity spares a hash and a compare
+                if x is node:
+                    xi = m
+                    yi = slot.get(y)
+                elif y is node:
+                    xi = slot.get(x)
+                    yi = m
+                else:
+                    xi = slot.get(x)
+                    yi = slot.get(y)
+                    if xi != m and yi != m:
+                        raise not_incident_error(node, x, y)
                 if xi is None or yi is None:
                     raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
                 if not -INF < w < INF:
@@ -385,20 +412,20 @@ class NumpyAGDP:
                         elif w < w_in:
                             w_in = w
                         continue
-                    col = old[:, peer] + w_in
-                    row = old[peer] + w_out
+                    col = matrix[:m, peer] + w_in
+                    row = matrix[peer, :m] + w_out
                 if xi == m:
                     back = col[yi]
                     if back + w < -1e-9:
                         refuse(refused, negative_cycle_error(x, y, w, back))
                         continue
-                    np.minimum(row, old[yi] + w, out=row)
+                    np.minimum(row, matrix[yi, :m] + w, out=row)
                 else:
                     back = row[xi]
                     if back + w < -1e-9:
                         refuse(refused, negative_cycle_error(x, y, w, back))
                         continue
-                    np.minimum(col, old[:, xi] + w, out=col)
+                    np.minimum(col, matrix[:m, xi] + w, out=col)
             kills = list(kills)
             if kills and self._gc_enabled:
                 take = slot.get(kills[0])
@@ -408,6 +435,7 @@ class NumpyAGDP:
             if take is None:
                 if m == self._capacity:
                     self._grow()
+                    matrix = self._matrix
                 take = m
                 self._keys.append(node)
                 self._n = m + 1
@@ -418,9 +446,8 @@ class NumpyAGDP:
                 del slot[kills.pop(0)]
                 slot[node] = take
                 self._keys[take] = node
-            matrix = self._matrix
             if col is not None:
-                self._close(matrix[:m, :m], col, row)
+                self._close(m, col, row)
                 matrix[take, :m] = row
                 matrix[:m, take] = col
             elif peer is not None:

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .agdp import AGDP
 from .bootstrap import BootstrapSnapshot
@@ -230,6 +230,13 @@ class EfficientCSA(Estimator):
             gc_enabled=history_gc,
         )
         self.live = LiveTracker()
+        #: edge-weight factors read once from the (static) spec: per
+        #: processor ``(beta - 1, 1 - alpha)``, per directed link
+        #: ``(sender, receiver)`` the transit ``(upper, lower)``
+        self._drift_pairs: Dict[ProcessorId, Tuple[float, float]] = {}
+        self._transit_pairs: Dict[
+            Tuple[ProcessorId, ProcessorId], Tuple[float, float]
+        ] = {}
         self._agdp_backend = agdp_backend
         self._agdp_gc = agdp_gc
         self.agdp = self._make_agdp()
@@ -266,8 +273,11 @@ class EfficientCSA(Estimator):
         #: the event log doubles as the recovery replay source, so it is
         #: retained for self-healing estimators even outside hardened mode
         self._retain_log = self.suspicion is not None or self_heal
-        #: loss flags in arrival order, durable across history rebuilds
-        self._flag_log: Set[EventId] = set()
+        #: loss flags in arrival order, each with the length of the event
+        #: log when it was applied (0 for a bootstrap snapshot's flags), so a
+        #: rebuild applies it at the same point of the replay; durable
+        #: across history rebuilds
+        self._flag_log: Dict[EventId, int] = {}
         #: frontier-covered records re-buffered for forwarding but never
         #: learned (so absent from the event log); kept in arrival order so
         #: recovery can restore the forwarding buffer exactly
@@ -513,7 +523,7 @@ class EfficientCSA(Estimator):
             return False
         self._bootstrap = snapshot
         if self._retain_log:
-            self._flag_log.update(snapshot.loss_flags)
+            self._flag_log.update(dict.fromkeys(snapshot.loss_flags, 0))
         return True
 
     def _apply_snapshot(self, snapshot: BootstrapSnapshot) -> None:
@@ -678,46 +688,20 @@ class EfficientCSA(Estimator):
     def _reported_steps(self, events: List[Event]):
         """Yield ``(node, edges, kills)`` AGDP steps for reported events.
 
-        The edge construction mirrors :meth:`_agdp_insert`'s for a
-        non-excluded event exactly; see there for the constraint
-        derivations.  Lazy on purpose: :meth:`AGDP.step_batch` pulls the
-        next step only after applying the previous one, so even the state
-        left behind by a mid-payload failure matches the scalar loop.
+        Lazy on purpose: :meth:`AGDP.step_batch` pulls the next step only
+        after applying the previous one, so even the state left behind by
+        a mid-payload failure matches the scalar loop.
         """
-        live = self.live
-        agdp = self.agdp
-        spec = self.spec
-        source = spec.source
+        step_of = self._step_of
+        source = self.spec.source
         retain = self._retain_log and not self._replaying
         for event in events:
             eid = event.eid
             if retain:
                 self._event_log.append(event)
                 self._log_index[eid] = event
-            edges: List[Tuple[EventId, EventId, float]] = []
-            pred = live.last_event(event.proc)
-            if pred is not None:
-                pred_id, pred_lt = pred
-                if pred_id.seq + 1 != eid.seq:
-                    raise ProtocolError(
-                        f"{self.proc!r} inserting {eid} after {pred_id} (gap)"
-                    )
-                drift = spec.drift_of(event.proc)
-                delta = event.lt - pred_lt
-                edges.append((eid, pred_id, (drift.beta - 1.0) * delta))
-                edges.append((pred_id, eid, (1.0 - drift.alpha) * delta))
-            if event.is_receive:
-                send_lt = live.send_lt(event.send_eid)
-                if send_lt is not None and event.send_eid in agdp:
-                    transit = spec.transit_of(event.send_eid.proc, event.proc)
-                    observed = event.lt - send_lt
-                    if transit.is_bounded:
-                        edges.append(
-                            (eid, event.send_eid, transit.upper - observed)
-                        )
-                    edges.append((event.send_eid, eid, observed - transit.lower))
-            kills = [k for k in live.observe(event) if k in agdp]
-            if event.proc == source:
+            edges, kills, _ = step_of(event)
+            if eid[0] == source:
                 self._source_rep = eid
             yield eid, edges, kills
 
@@ -727,6 +711,59 @@ class EfficientCSA(Estimator):
             self._event_log.append(event)
             self._log_index[event.eid] = event
         self._agdp_insert(event)
+
+    def _step_of(self, event: Event, hardened: bool = False):
+        """Observe ``event`` and build its AGDP step: ``(edges, kills, send_lt)``.
+
+        The one place synchronization-graph edges are made.  With ``q`` the
+        processor's previous event and ``delta = LT(p) - LT(q)``, the drift
+        spec bounds the elapsed real time by ``alpha * delta <= RT(p) -
+        RT(q) <= beta * delta``, i.e. the pair ``p -> q`` of weight ``(beta
+        - 1) * delta`` and ``q -> p`` of weight ``(1 - alpha) * delta``.
+        For a receive whose send ``s`` is still tracked as undelivered,
+        with ``observed = LT(p) - LT(s)``, the transit spec gives ``p ->
+        s`` of weight ``upper - observed`` (bounded links only) and ``s ->
+        p`` of weight ``observed - lower``.  A send that was flagged lost
+        and collected before this late delivery (or whose claimant is
+        evicted) contributes nothing, which is sound: fewer constraints
+        only widen bounds.
+
+        ``send_lt`` is handed through from :meth:`LiveTracker.observe` for
+        the hardened caller's phantom-send test.  With ``hardened`` the
+        predecessor may belong to an evicted claim and is then skipped;
+        otherwise a missing one is a bug and the solver raises ``KeyError``.
+        """
+        eid = event.eid
+        lt = event.lt
+        agdp = self.agdp
+        dead, pred, send_lt = self.live.observe(event, lenient=hardened)
+        edges: List[Tuple[EventId, EventId, float]] = []
+        if pred is not None:
+            pred_id, pred_lt = pred
+            if not hardened or pred_id in agdp:
+                proc = eid[0]
+                pair = self._drift_pairs.get(proc)
+                if pair is None:
+                    drift = self.spec.drift_of(proc)
+                    pair = (drift.beta - 1.0, 1.0 - drift.alpha)
+                    self._drift_pairs[proc] = pair
+                delta = lt - pred_lt
+                edges.append((eid, pred_id, pair[0] * delta))
+                edges.append((pred_id, eid, pair[1] * delta))
+        if send_lt is not None:
+            send_eid = event.send_eid
+            if send_eid in agdp:
+                link = (send_eid[0], eid[0])
+                pair = self._transit_pairs.get(link)
+                if pair is None:
+                    transit = self.spec.transit_of(*link)
+                    pair = (transit.upper, transit.lower)
+                    self._transit_pairs[link] = pair
+                observed = lt - send_lt
+                if pair[0] != TOP:
+                    edges.append((eid, send_eid, pair[0] - observed))
+                edges.append((send_eid, eid, observed - pair[1]))
+        return edges, [k for k in dead if k in agdp], send_lt
 
     def _agdp_insert(self, event: Event) -> None:
         """One AGDP step: insert ``event`` with its incident edges, then kill.
@@ -744,42 +781,21 @@ class EfficientCSA(Estimator):
         hardened = self.suspicion is not None
         excluded = hardened and self.suspicion.is_excluded(eid)
         blames: List[Tuple[ProcessorId, str, str]] = []
-        edges: List[Tuple[EventId, EventId, float]] = []
-        if not excluded:
-            pred = self.live.last_event(event.proc)
-            if pred is not None:
-                pred_id, pred_lt = pred
-                if pred_id.seq + 1 != eid.seq:
-                    raise ProtocolError(
-                        f"{self.proc!r} inserting {eid} after {pred_id} (gap)"
-                    )
-                # hardened: the predecessor may belong to an evicted claim;
-                # otherwise a missing one is a bug and step raises KeyError
-                if not hardened or pred_id in self.agdp:
-                    drift = self.spec.drift_of(event.proc)
-                    delta = event.lt - pred_lt
-                    edges.append((eid, pred_id, (drift.beta - 1.0) * delta))
-                    edges.append((pred_id, eid, (1.0 - drift.alpha) * delta))
-            if event.is_receive:
-                send_lt = self.live.send_lt(event.send_eid)
-                if send_lt is not None and event.send_eid in self.agdp:
-                    transit = self.spec.transit_of(event.send_eid.proc, event.proc)
-                    observed = event.lt - send_lt
-                    if transit.is_bounded:
-                        edges.append((eid, event.send_eid, transit.upper - observed))
-                    edges.append((event.send_eid, eid, observed - transit.lower))
-                # else: the send was flagged lost and collected before this
-                # late delivery (or its claimant is evicted); its constraints
-                # are gone, which is sound (fewer constraints only widen
-                # bounds).
+        if excluded:
+            dead, _, send_lt = self.live.observe(event, lenient=True)
+            for victim in dead:
+                if victim in self.agdp:
+                    self.agdp.kill(victim)
+        else:
+            edges, kills, send_lt = self._step_of(event, hardened)
         if (
             hardened
+            and send_lt is None
             and event.is_receive
-            and self.live.send_lt(event.send_eid) is None
             and self.live.knows(event.send_eid)
             and event.send_eid not in self.live.lost_flags
         ):
-            # the send id resolves to something the tracker does not hold as
+            # the send id resolves to something the tracker did not hold as
             # an undelivered send - for honest input a double delivery, but a
             # fabricated event squatting on a real send's id produces exactly
             # this shape at every honest receiver of the real message
@@ -791,14 +807,7 @@ class EfficientCSA(Estimator):
                     "known but not an undelivered send",
                 )
             )
-        kills = [
-            k
-            for k in self.live.observe(event, lenient=hardened)
-            if k in self.agdp
-        ]
         if excluded:
-            for victim in kills:
-                self.agdp.kill(victim)
             self._finish_insert(event, blames)
             return
         # degraded mode collects inconsistent constraints instead of raising:
@@ -896,9 +905,13 @@ class EfficientCSA(Estimator):
         eviction replays history: a fresh live tracker and solver consume
         the full event log with the evicted processors' events excluded.
         Sound by Theorem 2.1 - the surviving constraints are a subset of
-        genuine ones - and exact over what remains.  Quarantine decisions
-        taken during replay are not re-recorded (the diagnostics list
-        stays cumulative) and produce no fresh blame.
+        genuine ones - and exact over what remains.  Each loss flag is
+        applied where the live run applied it (its recorded position in
+        the event log), so the replay never holds more live points than
+        the run did and a delivery that came after its flag stays without
+        transit edges.  Quarantine decisions taken during replay are not
+        re-recorded (the diagnostics list stays cumulative) and produce no
+        fresh blame.
         """
         self._replaying = True
         try:
@@ -907,10 +920,15 @@ class EfficientCSA(Estimator):
             self._source_rep = None
             if self._bootstrap is not None:
                 self._apply_snapshot(self._bootstrap)
-            for event in self._event_log:
-                self._agdp_insert(event)
-            for flag in self.history.loss_flags:
+            flags_at: Dict[int, List[EventId]] = {}
+            for flag, position in self._flag_log.items():
+                flags_at.setdefault(position, []).append(flag)
+            for flag in flags_at.get(0, ()):
                 self._apply_loss_flag(flag)
+            for position, event in enumerate(self._event_log, 1):
+                self._agdp_insert(event)
+                for flag in flags_at.get(position, ()):
+                    self._apply_loss_flag(flag)
         finally:
             self._replaying = False
 
@@ -933,7 +951,7 @@ class EfficientCSA(Estimator):
 
     def _apply_loss_flag(self, send_eid: EventId) -> None:
         if self._retain_log and not self._replaying:
-            self._flag_log.add(send_eid)
+            self._flag_log.setdefault(send_eid, len(self._event_log))
         for victim in self.live.flag_lost(send_eid):
             if victim in self.agdp:
                 self.agdp.kill(victim)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 __all__ = [
     "ProcessorId",
@@ -62,42 +62,45 @@ class EventKind(enum.Enum):
         return f"EventKind.{self.name}"
 
 
-@dataclass(frozen=True, order=True)
-class EventId:
+class _EventIdFields(NamedTuple):
+    # (a NamedTuple body may not define ``__new__``; the subclass does)
+    proc: ProcessorId
+    seq: int
+
+
+class EventId(_EventIdFields):
     """Globally unique identifier of an event: processor plus sequence number.
+
+    An id *is* the plain pair ``(proc, seq)``: a ``tuple`` for
+    ``isinstance`` purposes, equal to and hashing like that pair.  Event
+    ids are the keys of every hot protocol table (AGDP slot map, history
+    buffers and pending maps, live sets), so hashing and equality are
+    ``tuple``'s own, in C - never override ``__hash__`` or ``__eq__`` here.
 
     Ordering is lexicographic ``(proc, seq)``; note that this is *not* the
     happens-before order, merely a stable total order convenient for
     deterministic iteration.
     """
 
-    proc: ProcessorId
-    seq: int
-    #: cached ``hash((proc, seq))``; event ids are the keys of every hot
-    #: protocol table (AGDP rows, history buffers, live sets), and the
-    #: dataclass-generated hash allocates a fresh tuple per call
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seq < 0:
-            raise ValueError(f"event sequence numbers are non-negative, got {self.seq}")
-        object.__setattr__(self, "_hash", hash((self.proc, self.seq)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, proc: ProcessorId, seq: int):
+        if seq < 0:
+            raise ValueError(f"event sequence numbers are non-negative, got {seq}")
+        return tuple.__new__(cls, (proc, seq))
 
     def pred(self) -> Optional["EventId"]:
         """The id of the previous event at the same processor, or ``None``."""
-        if self.seq == 0:
+        if self[1] == 0:
             return None
-        return EventId(self.proc, self.seq - 1)
+        return tuple.__new__(EventId, (self[0], self[1] - 1))
 
     def succ(self) -> "EventId":
         """The id of the next event at the same processor."""
-        return EventId(self.proc, self.seq + 1)
+        return tuple.__new__(EventId, (self[0], self[1] + 1))
 
     def __str__(self):
-        return f"{self.proc}#{self.seq}"
+        return f"{self[0]}#{self[1]}"
 
 
 @dataclass(frozen=True)

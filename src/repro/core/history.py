@@ -339,7 +339,7 @@ class HistoryModule:
 
     def record_local(self, event: Event) -> None:
         """Record an event occurring at this processor (in sequence order)."""
-        if event.proc != self.proc:
+        if event.eid[0] != self.proc:
             raise ProtocolError(
                 f"module of {self.proc!r} given local event of {event.proc!r}"
             )
@@ -358,25 +358,28 @@ class HistoryModule:
 
     def _learn(self, event: Event) -> None:
         eid = event.eid
-        expected = self.known_seq(eid.proc) + 1
-        if eid.seq != expected:
+        proc, seq = eid
+        known = self._known
+        expected = known.get(proc, -1) + 1
+        if seq != expected:
             raise ProtocolError(
                 f"{self.proc!r} learned {eid} out of order (expected seq {expected})"
             )
-        self._known[eid.proc] = eid.seq
+        known[proc] = seq
         # Buffer the event iff some neighbor still lacks it, and index it
         # under exactly those neighbors' pending maps.
         lacking = 0
-        seq = eid.seq
-        proc = eid.proc
-        for u in self.neighbors:
-            if seq > self._watermark[u].get(proc, -1):
-                self._pending[u][eid] = event
+        pending = self._pending
+        for u, marks in self._watermark.items():
+            if seq > marks.get(proc, -1):
+                pending[u][eid] = event
                 lacking += 1
         if lacking:
             self._lacking[eid] = lacking
-            self._buffer[eid] = event
-            self.stats.max_buffer = max(self.stats.max_buffer, len(self._buffer))
+            buffer = self._buffer
+            buffer[eid] = event
+            if len(buffer) > self.stats.max_buffer:
+                self.stats.max_buffer = len(buffer)
 
     def _rebuffer(self, event: Event) -> None:
         """Re-index an already-known record for neighbors that still lack it.
@@ -389,9 +392,10 @@ class HistoryModule:
         eid = event.eid
         if eid in self._lacking:
             return  # already buffered and indexed
+        proc, seq = eid
         lacking = 0
-        for u in self.neighbors:
-            if eid.seq > self._watermark[u].get(eid.proc, -1):
+        for u, marks in self._watermark.items():
+            if seq > marks.get(proc, -1):
                 self._pending[u][eid] = event
                 lacking += 1
         if lacking:
@@ -418,11 +422,14 @@ class HistoryModule:
         fresh = list(self._pending[neighbor].values())
         advance: Dict[ProcessorId, int] = {}
         for event in fresh:
-            if event.seq > advance.get(event.proc, -1):
-                advance[event.proc] = event.seq
-            if self.stats.reports is not None:
+            proc, seq = event.eid
+            if seq > advance.get(proc, -1):
+                advance[proc] = seq
+        reports = self.stats.reports
+        if reports is not None:
+            for event in fresh:
                 key = (event.eid, neighbor)
-                self.stats.reports[key] = self.stats.reports.get(key, 0) + 1
+                reports[key] = reports.get(key, 0) + 1
         flags = tuple(sorted(self._loss_pending[neighbor]))
         payload = HistoryPayload(records=tuple(fresh), loss_flags=flags)
         token = _DeliveryToken(
@@ -519,17 +526,19 @@ class HistoryModule:
         if neighbor not in self._watermark:
             raise ProtocolError(f"{neighbor!r} is not a neighbor of {self.proc!r}")
         marks = self._watermark[neighbor]
+        known = self._known
+        stats = self.stats
         new_events: List[Event] = []
-        self.stats.payloads_received += 1
+        stats.payloads_received += 1
         advanced = False
         for event in payload.records:
-            self.stats.records_received += 1
-            w = event.proc
-            if event.seq > marks.get(w, -1):
-                marks[w] = event.seq
+            stats.records_received += 1
+            proc, seq = event.eid
+            if seq > marks.get(proc, -1):
+                marks[proc] = seq
                 advanced = True
-            if self.knows(event.eid):
-                self.stats.duplicate_records_received += 1
+            if seq <= known.get(proc, -1):
+                stats.duplicate_records_received += 1
                 # A record we know *of* but do not hold: after a frontier
                 # adoption the seqs are covered yet the records are not -
                 # hold it for any neighbor whose watermark does not cover
@@ -565,9 +574,7 @@ class HistoryModule:
         """
         pending = self._pending[neighbor]
         marks = self._watermark[neighbor]
-        covered = [
-            eid for eid in pending if eid.seq <= marks.get(eid.proc, -1)
-        ]
+        covered = [eid for eid in pending if eid[1] <= marks.get(eid[0], -1)]
         lacking = self._lacking
         for eid in covered:
             del pending[eid]

@@ -11,27 +11,29 @@ maintained incrementally as events are learned in topological order.  This
 tracker holds O(#processors + #in-flight messages) state: the last known
 event per processor and the set of undelivered sends, and reports exactly
 which nodes *die* at each insertion - the kill-set handed to the AGDP
-solver.
+solver - along with the two facts the estimator builds the new event's
+edges from (its processor's previous event, the matched send's local
+time), so one :meth:`LiveTracker.observe` call per event is the whole
+conversation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import ProtocolError
-from .events import Event, EventId, ProcessorId
+from .events import Event, EventId, EventKind, ProcessorId
 
 __all__ = ["LiveTracker"]
 
+_SEND = EventKind.SEND
+_RECEIVE = EventKind.RECEIVE
 
-@dataclass(frozen=True)
-class _LastEvent:
-    #: the id object the event arrived with - handed back by
-    #: :meth:`LiveTracker.last_event` instead of being rebuilt per query
-    eid: EventId
-    lt: float
-    is_send: bool
+
+#: a processor's last known event as ``(eid, lt, is_send)``; ``eid`` is the
+#: id object the event arrived with, handed back by
+#: :meth:`LiveTracker.last_event` instead of being rebuilt per query
+_LastEvent = Tuple[EventId, float, bool]
 
 
 class LiveTracker:
@@ -60,11 +62,11 @@ class LiveTracker:
         last = self._last.get(proc)
         if last is None:
             return None
-        return last.eid, last.lt
+        return last[0], last[1]
 
     def last_seq(self, proc: ProcessorId) -> int:
         last = self._last.get(proc)
-        return -1 if last is None else last.eid.seq
+        return -1 if last is None else last[0][1]
 
     def knows(self, eid: EventId) -> bool:
         """Whether the tracked view contains ``eid``."""
@@ -78,7 +80,7 @@ class LiveTracker:
         return eid in self._undelivered
 
     def live_points(self) -> Set[EventId]:
-        live = {last.eid for last in self._last.values()}
+        live = {last[0] for last in self._last.values()}
         live.update(self._undelivered)
         return live
 
@@ -104,8 +106,8 @@ class LiveTracker:
         tracker (what a sponsor hands a late joiner).
         """
         return {
-            proc: (last.eid.seq, last.lt, last.is_send)
-            for proc, last in self._last.items()
+            proc: (eid[1], lt, is_send)
+            for proc, (eid, lt, is_send) in self._last.items()
         }
 
     # -- mutation ----------------------------------------------------------------
@@ -125,7 +127,7 @@ class LiveTracker:
         if self.events_observed or self._last or self._undelivered or self._lost:
             raise ProtocolError("only a fresh tracker can adopt a frontier")
         for proc, seq, lt, is_send in last:
-            self._last[proc] = _LastEvent(EventId(proc, seq), lt, is_send)
+            self._last[proc] = (EventId(proc, seq), lt, is_send)
         for proc, seq, lt in undelivered:
             eid = EventId(proc, seq)
             if seq > self.last_seq(proc):
@@ -139,13 +141,25 @@ class LiveTracker:
         )
         self.max_live = max(self.max_live, self.live_count())
 
-    def observe(self, event: Event, *, lenient: bool = False) -> List[EventId]:
-        """Record ``event`` (the next event of its processor) and return kills.
+    def observe(
+        self, event: Event, *, lenient: bool = False
+    ) -> Tuple[List[EventId], Optional[Tuple[EventId, float]], Optional[float]]:
+        """Record ``event`` (the next event of its processor).
 
-        The returned list contains the event ids that were live before this
-        insertion and are dead after it.  The caller must feed events in a
-        topological order of the view (per-processor sequence numbers must
-        be contiguous); violations raise :class:`ProtocolError`.
+        Returns ``(kills, pred, send_lt)`` - everything the caller needs to
+        turn the event into an AGDP step, from one pass over the tracker:
+
+        * ``kills``: the event ids that were live before this insertion and
+          are dead after it;
+        * ``pred``: the processor's previous event as ``(eid, lt)`` (what
+          :meth:`last_event` answered before the call), or ``None``;
+        * ``send_lt``: for a receive whose send was tracked as undelivered,
+          that send's local time (what :meth:`send_lt` answered before the
+          call); ``None`` otherwise.
+
+        The caller must feed events in a topological order of the view
+        (per-processor sequence numbers must be contiguous); violations
+        raise :class:`ProtocolError`.
 
         With ``lenient=True`` a receive whose send is known as something
         other than an undelivered send is tolerated instead of raising.
@@ -157,40 +171,55 @@ class LiveTracker:
         try/except recovery - continuity would already be spent.
         """
         eid = event.eid
-        prev = self._last.get(eid.proc)
-        expected = 0 if prev is None else prev.eid.seq + 1
-        if eid.seq != expected:
+        proc, seq = eid
+        kind = event.kind
+        last = self._last
+        undelivered = self._undelivered
+        prev = last.get(proc)
+        expected = 0 if prev is None else prev[0][1] + 1
+        if seq != expected:
             raise ProtocolError(
                 f"event {eid} observed out of order (expected seq {expected})"
             )
+        send_lt = None
+        if kind is _RECEIVE:
+            send_eid = event.send_eid
+            send_lt = undelivered.get(send_eid)
+            if (
+                send_lt is None
+                and not lenient
+                and send_eid not in self._lost
+                and self.knows(send_eid)
+            ):
+                raise ProtocolError(
+                    f"message {send_eid} delivered twice (receive {eid})"
+                )
         dead: List[EventId] = []
+        pred = None
         if prev is not None:
-            prev_id = prev.eid
+            prev_id = prev[0]
+            pred = (prev_id, prev[1])
             # the old last point stays live only as an undelivered send
-            if prev_id not in self._undelivered:
+            if prev_id not in undelivered:
                 dead.append(prev_id)
             else:
                 # superseded at the frontier but still in flight: it now
                 # counts toward the undelivered-nonlast overlap correction
                 self._undelivered_nonlast += 1
-        if event.is_receive:
-            send_eid = event.send_eid
-            if send_eid in self._undelivered:
-                del self._undelivered[send_eid]
-                if self.last_seq(send_eid.proc) != send_eid.seq:
-                    dead.append(send_eid)
-                    self._undelivered_nonlast -= 1
-            elif send_eid not in self._lost and self.knows(send_eid):
-                if not lenient:
-                    raise ProtocolError(
-                        f"message {send_eid} delivered twice (receive {eid})"
-                    )
-        self._last[eid.proc] = _LastEvent(eid, event.lt, event.is_send)
-        if event.is_send:
-            self._undelivered[eid] = event.lt
+        if send_lt is not None:
+            del undelivered[send_eid]
+            if last[send_eid[0]][0][1] != send_eid[1]:
+                dead.append(send_eid)
+                self._undelivered_nonlast -= 1
+        is_send = kind is _SEND
+        last[proc] = (eid, event.lt, is_send)
+        if is_send:
+            undelivered[eid] = event.lt
         self.events_observed += 1
-        self.max_live = max(self.max_live, self.live_count())
-        return dead
+        live = len(last) + self._undelivered_nonlast
+        if live > self.max_live:
+            self.max_live = live
+        return dead, pred, send_lt
 
     def flag_lost(self, send_eid: EventId) -> List[EventId]:
         """Sec 3.3: mark a send's message as lost; return newly dead points.

@@ -9,10 +9,8 @@ example budget (``tests/testing/test_differential.py``).
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.csa import EfficientCSA
-from ..core.events import Event, EventId
+from ..core.events import Event
 from ..core.live import LiveTracker
 
 __all__ = ["BrokenGCCSA", "broken_gc_factory"]
@@ -27,7 +25,7 @@ class _ForgetfulTracker(LiveTracker):
     transit constraints are lost when the receive finally arrives.
     """
 
-    def observe(self, event: Event, *, lenient: bool = False) -> List[EventId]:
+    def observe(self, event: Event, *, lenient: bool = False):
         pred = event.eid.pred()
         if pred is not None and pred in self._undelivered:
             # the bug: drop liveness of the predecessor send prematurely;

@@ -15,7 +15,9 @@ and what is left behind by a refusal or a mid-step raise; and
 
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,53 @@ from repro.testing import PerEdgeAGDP, check_agdp_invariants
 from .test_agdp import agdp_scripts
 from .test_agdp_numpy import heavy_churn_scripts
 
-BACKENDS = pytest.mark.parametrize("backend", [AGDP, NumpyAGDP])
+class PollutedNumpyAGDP(NumpyAGDP):
+    """The numpy backend with its unused memory made hostile before every
+    mutation: finite garbage in every cell outside the active block (the
+    whole-row closure runs over the cells right of it), NaN in the
+    closure's two scratch buffers (written before they are read).  No
+    floating-point warning may fire, no NaN may reach the block, and the
+    cells outside it keep what they held."""
+
+    def __init__(self, *args, **kwargs):
+        self._garbage = np.random.default_rng(0)
+        self._nested = False
+        super().__init__(*args, **kwargs)
+
+    def _hostile(self, mutate, *args, **kwargs):
+        if self._nested:  # a step killing its later victims
+            return mutate(*args, **kwargs)
+        self._nested = True
+        n, matrix = self._n, self._matrix
+        garbage = self._garbage.uniform(-1e6, 1e6, matrix.shape)
+        matrix[n:, :] = garbage[n:, :]
+        matrix[:n, n:] = garbage[:n, n:]
+        self._scratch.fill(np.nan)
+        self._padded.fill(np.nan)
+        try:
+            with np.errstate(all="raise"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return mutate(*args, **kwargs)
+        finally:
+            self._nested = False
+            after = self._n
+            assert not np.isnan(self._matrix[:after, :after]).any()
+            if self._matrix is matrix:  # (a grown store starts over as +inf)
+                n = max(n, after)
+                assert np.array_equal(matrix[n:, :], garbage[n:, :])
+                assert np.array_equal(matrix[:n, n:], garbage[:n, n:])
+
+    def step(self, *args, **kwargs):
+        return self._hostile(super().step, *args, **kwargs)
+
+    def insert_edge(self, *args, **kwargs):
+        return self._hostile(super().insert_edge, *args, **kwargs)
+
+    def kill(self, *args, **kwargs):
+        return self._hostile(super().kill, *args, **kwargs)
+
+
+BACKENDS = pytest.mark.parametrize("backend", [AGDP, NumpyAGDP, PollutedNumpyAGDP])
 
 
 @st.composite
@@ -150,15 +198,19 @@ def test_strict_step_matches_per_edge_reference(backend, steps):
 @given(hostile_scripts(malformed=False))
 def test_backends_agree_bit_for_bit_under_refusals(steps):
     """One algorithm, one float association, one ``pair_updates`` unit."""
-    dict_agdp, np_agdp = AGDP(source="s"), NumpyAGDP(source="s")
+    dict_agdp = AGDP(source="s")
+    np_agdps = NumpyAGDP(source="s"), PollutedNumpyAGDP(source="s")
     for node, edges, kills in steps:
-        dict_refused, np_refused = [], []
+        dict_refused = []
         dict_agdp.step(node, edges, kills, dict_refused)
-        np_agdp.step(node, edges, kills, np_refused)
-        assert [e.edge for e in np_refused] == [e.edge for e in dict_refused]
-    for x in dict_agdp.nodes:
-        assert np_agdp.distances_from(x) == dict_agdp.distances_from(x)
-    assert np_agdp.stats == dict_agdp.stats
+        for np_agdp in np_agdps:
+            np_refused = []
+            np_agdp.step(node, edges, kills, np_refused)
+            assert [e.edge for e in np_refused] == [e.edge for e in dict_refused]
+    for np_agdp in np_agdps:
+        for x in dict_agdp.nodes:
+            assert np_agdp.distances_from(x) == dict_agdp.distances_from(x)
+        assert np_agdp.stats == dict_agdp.stats
 
 
 @BACKENDS
@@ -290,16 +342,18 @@ def test_timeline_steps_match_per_edge_reference(script):
     gc_enabled, arm_hook, steps = script
     dict_agdp = AGDP(source="s", gc_enabled=gc_enabled)
     np_agdp = NumpyAGDP(source="s", gc_enabled=gc_enabled)
+    polluted = PollutedNumpyAGDP(source="s", gc_enabled=gc_enabled)
     ref = PerEdgeAGDP(source="s", gc_enabled=gc_enabled)
     if arm_hook:
-        dict_agdp.invariant_hook = np_agdp.invariant_hook = check_agdp_invariants
+        for agdp in (dict_agdp, np_agdp, polluted):
+            agdp.invariant_hook = check_agdp_invariants
     tolerance = 0.0
     peak = 1
     for node, edges, kills, quarantine in steps:
         before = ref.live_nodes
         expected = [] if quarantine else None
         raised = _outcome(lambda: ref.step(node, edges, kills, expected))
-        for agdp in (dict_agdp, np_agdp):
+        for agdp in (dict_agdp, np_agdp, polluted):
             refused = [] if quarantine else None
             assert _outcome(lambda: agdp.step(node, edges, kills, refused)) == raised
             if quarantine:
@@ -308,15 +362,17 @@ def test_timeline_steps_match_per_edge_reference(script):
             tolerance = 1e-9
         # whoever the reference killed before a raise is gone here too,
         # whoever it did not is still alive
-        assert dict_agdp.nodes == np_agdp.nodes == ref.nodes
+        assert dict_agdp.nodes == np_agdp.nodes == polluted.nodes == ref.nodes
         assert dict_agdp.live_nodes == np_agdp.live_nodes == ref.live_nodes
+        assert polluted.live_nodes == ref.live_nodes
         for x in ref.nodes:
             assert np_agdp.distances_from(x) == dict_agdp.distances_from(x)
+            assert polluted.distances_from(x) == dict_agdp.distances_from(x)
             for y, d in ref.distances_from(x).items():
                 assert dict_agdp.distance(x, y) == pytest.approx(d, abs=tolerance)
         took_over = gc_enabled and bool(kills) and kills[0] in before - ref.nodes
         peak = max(peak, len(before) + (not took_over))
-        assert np_agdp.stats == dict_agdp.stats
+        assert np_agdp.stats == polluted.stats == dict_agdp.stats
         assert dict_agdp.stats.max_nodes == (peak if gc_enabled else len(ref))
         for field in ("nodes_added", "nodes_killed", "edges_inserted"):
             assert getattr(dict_agdp.stats, field) == getattr(ref.stats, field), field
@@ -368,3 +424,52 @@ def test_killing_a_dead_node_raises_with_gc_off(backend):
         with pytest.raises(KeyError):
             agdp.step("b", [("s", "b", 1.0)], kills=["a"])
         assert agdp.stats.nodes_killed == 1
+
+
+# -- the closure runs over whole rows: what lies right of the block is padding --
+
+
+def test_whole_row_closure_through_grow_kill_and_slot_reuse():
+    """Grow past the initial capacity, kill several nodes in one step (one
+    take-over, two swap-with-last), reuse the vacated slots: every closure
+    runs over padding that holds garbage, stale rows of dead nodes, or the
+    fresh half of a grown matrix - and distances, refusals and every
+    counter stay those of the dict backend, bit for bit."""
+    rng = random.Random(5)
+    solvers = [AGDP(source="s"), NumpyAGDP(source="s"), PollutedNumpyAGDP(source="s")]
+    ref = PerEdgeAGDP(source="s")
+    potential = {"s": 0.0}
+    live = ["s"]
+
+    def step(node, peers, kills=()):
+        potential[node] = rng.randint(-32, 32) / 8.0
+        edges = []
+        for peer in peers:
+            gap = potential[node] - potential[peer]
+            edges.append((peer, node, gap + rng.randint(0, 16) / 8.0))
+            edges.append((node, peer, -gap + rng.randint(0, 16) / 8.0))
+        edges.append((node, peers[0], potential[peers[0]] - potential[node] - 3.0))
+        outcomes = []
+        for agdp in solvers + [ref]:
+            refused = []
+            agdp.step(node, edges, kills, refused)
+            outcomes.append([error.edge for error in refused])
+        assert outcomes[0] == outcomes[1] == outcomes[2] == outcomes[3] != []
+        live[:] = [p for p in live if p not in kills] + [node]
+
+    for i in range(20):  # 21 nodes: one grow, 16 -> 32
+        step(f"a{i}", rng.sample(live, min(len(live), 3)))
+    assert solvers[1]._capacity == 32
+    step("b0", ["a3", "a7"], kills=["a3", "a19", "a11"])
+    for i in range(1, 6):  # slots 21, 20 and then fresh ones again
+        step(f"b{i}", rng.sample(live, 2), kills=rng.sample(live[1:-1], i % 2))
+    for i in range(16):  # and past the second grow
+        step(f"c{i}", rng.sample(live, 3))
+    assert solvers[1]._capacity == 64
+    dict_agdp = solvers[0]
+    for np_agdp in solvers[1:]:
+        assert np_agdp.stats == dict_agdp.stats
+        for x in dict_agdp.nodes:
+            assert np_agdp.distances_from(x) == dict_agdp.distances_from(x)
+    _assert_same_matrix(dict_agdp, ref)
+    assert dict_agdp.stats.pair_updates > 0 and dict_agdp.stats.nodes_killed == 6

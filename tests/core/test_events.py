@@ -1,5 +1,8 @@
 """Unit tests for the event data model."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -53,6 +56,31 @@ class TestEventId:
 
     def test_str(self):
         assert str(EventId("p", 7)) == "p#7"
+        assert repr(EventId("p", 7)) == "EventId(proc='p', seq=7)"
+
+    def test_hash_and_eq_are_the_tuple_builtins(self):
+        """Ids key every hot table (AGDP slots, history buffers, live
+        sets): a Python-level ``__hash__``/``__eq__`` creeping back costs
+        millions of interpreter frames per run."""
+        assert EventId.__hash__ is tuple.__hash__
+        assert EventId.__eq__ is tuple.__eq__
+        assert not hasattr(EventId("p", 1), "__dict__")
+
+    def test_an_id_is_the_plain_pair(self):
+        eid = EventId(proc="p", seq=1)
+        assert isinstance(eid, tuple)
+        assert eid == ("p", 1) and hash(eid) == hash(("p", 1))
+        assert {("p", 1): "found"}[eid] == "found"
+        proc, seq = eid
+        assert (proc, seq) == (eid.proc, eid.seq) == ("p", 1)
+
+    def test_copies_keep_the_type_and_the_check(self):
+        eid = EventId("p", 3)
+        for clone in (copy.deepcopy(eid), pickle.loads(pickle.dumps(eid))):
+            assert type(clone) is EventId and clone == eid
+        assert type(eid.succ()) is type(eid.pred()) is EventId
+        with pytest.raises(ValueError):
+            EventId(proc="p", seq=-1)
 
 
 class TestEvent:

@@ -10,7 +10,7 @@ from ..conftest import make_event, recv, send
 class TestObserve:
     def test_first_event_live(self):
         tracker = LiveTracker()
-        dead = tracker.observe(make_event("p", 0, 1.0))
+        dead, _pred, _send_lt = tracker.observe(make_event("p", 0, 1.0))
         assert dead == []
         assert tracker.is_live(EventId("p", 0))
 
@@ -22,7 +22,7 @@ class TestObserve:
     def test_internal_kills_predecessor(self):
         tracker = LiveTracker()
         tracker.observe(make_event("p", 0, 1.0))
-        dead = tracker.observe(make_event("p", 1, 2.0))
+        dead, _pred, _send_lt = tracker.observe(make_event("p", 1, 2.0))
         assert dead == [EventId("p", 0)]
         assert not tracker.is_live(EventId("p", 0))
 
@@ -30,7 +30,7 @@ class TestObserve:
         tracker = LiveTracker()
         s = send("p", 0, 1.0, dest="q")
         tracker.observe(s)
-        dead = tracker.observe(make_event("p", 1, 2.0))
+        dead, _pred, _send_lt = tracker.observe(make_event("p", 1, 2.0))
         assert dead == []
         assert tracker.is_live(s.eid)
 
@@ -39,14 +39,14 @@ class TestObserve:
         s = send("p", 0, 1.0, dest="q")
         tracker.observe(s)
         tracker.observe(make_event("p", 1, 2.0))
-        dead = tracker.observe(recv("q", 0, 3.0, s))
+        dead, _pred, _send_lt = tracker.observe(recv("q", 0, 3.0, s))
         assert dead == [s.eid]
 
     def test_delivery_keeps_send_if_still_last(self):
         tracker = LiveTracker()
         s = send("p", 0, 1.0, dest="q")
         tracker.observe(s)
-        dead = tracker.observe(recv("q", 0, 3.0, s))
+        dead, _pred, _send_lt = tracker.observe(recv("q", 0, 3.0, s))
         assert dead == []
         assert tracker.is_live(s.eid)  # still the last point at p
 
@@ -70,6 +70,39 @@ class TestObserve:
         assert tracker.send_lt(s.eid) == 1.5
         tracker.observe(recv("q", 0, 3.0, s))
         assert tracker.send_lt(s.eid) is None
+
+
+    def test_observe_answers_last_event_and_send_lt_from_before_the_call(self):
+        """``observe`` hands back what ``last_event`` and ``send_lt`` would
+        have answered just before it - the estimator builds an event's
+        edges from that one call."""
+        tracker = LiveTracker()
+        s = send("p", 0, 1.5, dest="q")
+        assert tracker.observe(s) == ([], None, None)
+        assert tracker.observe(make_event("q", 0, 2.0)) == ([], None, None)
+        expected = (tracker.last_event("q"), tracker.send_lt(s.eid))
+        dead, pred, send_lt = tracker.observe(recv("q", 1, 3.0, s))
+        assert (pred, send_lt) == expected == ((EventId("q", 0), 2.0), 1.5)
+        assert dead == [EventId("q", 0)]  # s is still the last point of p
+        # an internal event matches no send, and neither does a late delivery
+        tracker.observe(send("p", 1, 2.5, dest="q"))
+        tracker.flag_lost(EventId("p", 1))
+        late = recv("q", 2, 4.0, send("p", 1, 2.5, dest="q"))
+        assert tracker.observe(late) == ([EventId("q", 1)], (EventId("q", 1), 3.0), None)
+
+    def test_refused_event_leaves_the_tracker_untouched(self):
+        tracker = LiveTracker()
+        s = send("p", 0, 1.0, dest="q")
+        tracker.observe(s)
+        tracker.observe(make_event("p", 1, 2.0))
+        tracker.observe(recv("q", 0, 3.0, s))
+        tracker.observe(send("q", 1, 3.5, dest="p"))  # in flight, last of q
+        before = (tracker.live_points(), tracker.live_count(), tracker.events_observed)
+        with pytest.raises(ProtocolError):
+            tracker.observe(recv("q", 2, 4.0, s))  # delivered twice
+        with pytest.raises(ProtocolError):
+            tracker.observe(make_event("p", 3, 5.0))  # gap
+        assert (tracker.live_points(), tracker.live_count(), tracker.events_observed) == before
 
 
 class TestLossFlags:
@@ -107,7 +140,7 @@ class TestLossFlags:
         tracker.observe(make_event("p", 1, 2.0))
         tracker.flag_lost(s.eid)
         # the "lost" message shows up anyway: must not blow up
-        dead = tracker.observe(recv("q", 0, 3.0, s))
+        dead, _pred, _send_lt = tracker.observe(recv("q", 0, 3.0, s))
         assert dead == []
 
 

@@ -161,3 +161,61 @@ def test_loss_and_confirm_hooks_audit_too(settle):
     assert victim.recoveries == 1
     assert victim.self_check()
     assert victim.estimate().is_bounded
+
+
+def _lossy_run(estimator_a):
+    """``a`` loses six sends to ``b`` one after another, then gets a late
+    delivery from ``src`` that followed its own loss flag."""
+    spec = estimator_a.spec
+    source = EfficientCSA("src", spec, reliable=False)
+    s1 = send("src", 0, 10.0, dest="a")
+    estimator_a.on_receive(recv("a", 0, 13.5, s1), source.on_send(s1))
+    seq, lt = 1, 14.0
+    for _ in range(6):
+        lost = send("a", seq, lt, dest="b")
+        estimator_a.on_send(lost)
+        estimator_a.on_internal(make_event("a", seq + 1, lt + 0.25))
+        estimator_a.on_loss_detected(lost.eid)
+        seq, lt = seq + 2, lt + 0.5
+    # src gives s2 up for lost and says so on s3; s2 then arrives after all
+    # (its timestamps agree with the other two messages, so transit edges
+    # for it would tighten the bound rather than contradict anything)
+    s2 = send("src", 1, 16.5, dest="a")
+    payload2 = source.on_send(s2)
+    source.on_loss_detected(s2.eid)
+    s3 = send("src", 2, 17.0, dest="a")
+    estimator_a.on_receive(recv("a", seq, 20.2, s3), source.on_send(s3))
+    assert s2.eid in estimator_a.history.loss_flags
+    estimator_a.on_receive(recv("a", seq + 1, 20.3, s2), payload2)
+    return seq + 2
+
+
+@pytest.mark.parametrize("suspicion", [None, SuspicionPolicy()], ids=["plain", "hardened"])
+def test_rebuild_applies_each_loss_flag_where_the_run_did(suspicion):
+    """The replay used to apply the loss flags after the whole event log:
+    every send ever flagged lost was live at once (a 147 x 147 matrix on a
+    ring of 8 whose run peaks below 40), and a delivery that came after
+    its flag grew transit edges the run never had."""
+
+    def make():
+        return EfficientCSA(
+            "a", line3_spec(), reliable=False, self_heal=True, suspicion=suspicion
+        )
+
+    victim, twin = make(), make()
+    next_seq = _lossy_run(victim)
+    _lossy_run(twin)
+    peak = victim.live.max_live
+    assert peak == twin.live.max_live <= 4
+    assert scramble_estimator(victim, "agdp", random.Random(7))
+    for estimator in (victim, twin):
+        estimator.on_internal(make_event("a", next_seq, 21.0))
+    assert victim.recoveries == 1 and twin.recoveries == 0
+    assert victim.live.max_live <= peak  # the rebuilt tracker's own peak
+    assert victim.agdp.stats.max_nodes <= twin.agdp.stats.max_nodes
+    assert victim.live.live_points() == twin.live.live_points()
+    assert victim.agdp.nodes == twin.agdp.nodes
+    for proc in ("src", "a"):
+        assert victim.estimate_of(proc) == twin.estimate_of(proc)
+    assert victim.estimate() == twin.estimate()
+    assert victim.estimate().is_bounded

@@ -1,8 +1,8 @@
 """The perf gate's baseline format: summaries in, raw samples out.
 
 ``benchmarks/compare.py summarize`` turns a raw pytest-benchmark run into
-the committed ``BENCH_core.json`` (summary stats only, frozen historical
-means carried over); the gate itself reads either format.
+the committed ``BENCH_core.json`` (summary stats only); the gate itself
+reads either format.
 """
 
 import importlib.util
@@ -35,36 +35,25 @@ def _raw(path, means):
     return str(path)
 
 
-def test_summarize_drops_samples_and_keeps_frozen(tmp_path):
+def test_summarize_drops_samples(tmp_path):
     out = tmp_path / "core.json"
-    out.write_text(
-        json.dumps(
-            {"benchmarks": {}, "frozen": {"benchmarks": {"slow": {"mean": 8.0}}}}
-        )
-    )
     raw = _raw(tmp_path / "raw.json", {"slow": 2.0, "fast": 1.0})
     assert compare.main(["summarize", raw, str(out)]) == 0
     summary = json.loads(out.read_text())
     assert summary["format"] == compare.SUMMARY_FORMAT
     assert set(summary["benchmarks"]["slow"]) == set(compare.SUMMARY_STATS)
     assert compare.load_means(str(out)) == compare.load_means(raw)
-    assert compare.load_means(str(out), "frozen") == {"slow": 8.0}
-    assert compare.load_means(raw, "frozen") == {}
 
 
-def test_gate_reads_summary_baseline_and_frozen_floor(tmp_path, capsys):
+def test_gate_reads_summary_baseline(tmp_path, capsys):
     out = tmp_path / "core.json"
-    out.write_text(
-        json.dumps(
-            {"benchmarks": {}, "frozen": {"benchmarks": {"slow": {"mean": 8.0}}}}
-        )
-    )
-    compare.main(["summarize", _raw(tmp_path / "raw.json", {"slow": 2.0}), str(out)])
-    same = _raw(tmp_path / "fresh.json", {"slow": 2.1})
-    gate = ["--tolerance", "0.25", "--assert-improved-vs-frozen", "slow"]
-    assert compare.main([str(out), same, *gate, "3.0"]) == 0
+    means = {"slow": 2.0, "fast": 0.5}
+    compare.main(["summarize", _raw(tmp_path / "raw.json", means), str(out)])
+    same = _raw(tmp_path / "fresh.json", {"slow": 2.1, "fast": 0.5})
+    gate = ["--tolerance", "0.25", "--assert-speedup", "fast", "slow"]
+    assert compare.main([str(out), same, *gate, "4.0"]) == 0
     assert compare.main([str(out), same, *gate, "5.0"]) == 1
-    slower = _raw(tmp_path / "slower.json", {"slow": 3.0})
+    slower = _raw(tmp_path / "slower.json", {"slow": 3.0, "fast": 0.5})
     assert compare.main([str(out), slower, "--tolerance", "0.25"]) == 1
     assert "REGRESSED" in capsys.readouterr().out
 
@@ -73,8 +62,6 @@ def test_committed_baseline_is_a_summary():
     data = json.loads((ROOT / "BENCH_core.json").read_text())
     assert data["format"] == compare.SUMMARY_FORMAT
     assert all("data" not in stats for stats in data["benchmarks"].values())
-    frozen = compare.load_means(str(ROOT / "BENCH_core.json"), "frozen")
-    assert "test_line_gossip_run[12]" in frozen
 
 
 def test_rejects_files_without_benchmarks(tmp_path):
