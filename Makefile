@@ -2,6 +2,11 @@
 
 PYTHON ?= python
 
+# everything the targets below leave behind (run archives, raw and fresh
+# benchmark JSON, the comparison report) lands here; git-ignored, and
+# `make clean` removes it.  Only BENCH_core.json lives at the root.
+BUILD := build
+
 .PHONY: install test bench bench-json bench-compare bench-refresh bench-e2e bench-layers bench-ab profile experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
 
 # relative slowdown tolerated by the perf gate before it fails.  0.75
@@ -28,18 +33,18 @@ bench:
 # machine-readable benchmark baseline; BENCH_core.json is committed so
 # perf regressions show up as a diff (CI uploads the fresh run as an
 # artifact for comparison).  Only per-benchmark summary stats are kept:
-# the raw run (every sample, ~3 MB) stays in the git-ignored BENCH_raw.json
-bench-json:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_raw.json
-	$(PYTHON) benchmarks/compare.py summarize BENCH_raw.json BENCH_core.json
+# the raw run (every sample, ~3 MB) stays in the git-ignored $(BUILD)/BENCH_raw.json
+bench-json: | $(BUILD)
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=$(BUILD)/BENCH_raw.json
+	$(PYTHON) benchmarks/compare.py summarize $(BUILD)/BENCH_raw.json BENCH_core.json
 
 # the perf-regression gate: fresh run vs the committed baseline, plus the
 # hard floor on the compacted numpy AGDP backend's speedup over dict at
 # the largest live-set size (the tentpole acceptance criterion)
-bench-compare:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=BENCH_fresh.json
-	$(PYTHON) benchmarks/compare.py BENCH_core.json BENCH_fresh.json \
-		--tolerance $(BENCH_TOLERANCE) --report BENCH_compare.md \
+bench-compare: | $(BUILD)
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only --benchmark-json=$(BUILD)/BENCH_fresh.json
+	$(PYTHON) benchmarks/compare.py BENCH_core.json $(BUILD)/BENCH_fresh.json \
+		--tolerance $(BENCH_TOLERANCE) --report $(BUILD)/BENCH_compare.md \
 		--assert-speedup "test_agdp_backend_comparison[128-numpy]" \
 			"test_agdp_backend_comparison[128-dict]" 2.0 \
 		--assert-speedup "test_serve_garbage_rejection" \
@@ -117,18 +122,18 @@ rt-demo:
 # codec, everyone else negotiating v3 binary) must converge with zero
 # soundness violations; the checker then verifies the archived document
 # records the mixed codec map and passes the Thm 2.1 oracle
-wire-smoke:
+wire-smoke: | $(BUILD)
 	$(PYTHON) -m repro.rt.cli --nodes 4 --shape line --transport udp \
 		--duration 4 --period 0.2 --drifting --json-node n2 --seed 0 \
-		--require-converged --out wire_smoke_run.json
-	$(PYTHON) scripts/check_wire_smoke.py wire_smoke_run.json
+		--require-converged --out $(BUILD)/wire_smoke_run.json
+	$(PYTHON) scripts/check_wire_smoke.py $(BUILD)/wire_smoke_run.json
 
 # the CI runtime gate: loopback + real UDP sockets, both must converge
-rt-smoke:
+rt-smoke: | $(BUILD)
 	$(PYTHON) -m repro.rt.cli --nodes 3 --duration 8 --period 0.25 \
-		--skew-ppm 100 --require-converged --out rt_loopback_run.json
+		--skew-ppm 100 --require-converged --out $(BUILD)/rt_loopback_run.json
 	$(PYTHON) -m repro.rt.cli --nodes 2 --transport udp --duration 8 \
-		--period 0.25 --skew-ppm 100 --require-converged --out rt_udp_run.json
+		--period 0.25 --skew-ppm 100 --require-converged --out $(BUILD)/rt_udp_run.json
 
 # serving-tier demo: 2 servers, 4 clients, primary crash and failover (~3 s)
 serve-demo:
@@ -137,10 +142,10 @@ serve-demo:
 
 # sustained overload: an undersized bucket must shed explicitly while
 # every accepted bound stays sound (archives the scorecard)
-loadtest:
+loadtest: | $(BUILD)
 	$(PYTHON) -m repro.rt.serve_cli --nodes 3 --duration 5 --clients 8 \
 		--bucket-rate 40 --bucket-burst 5 --max-interval 0.03 \
-		--require-sound --out serve_load_run.json
+		--require-sound --out $(BUILD)/serve_load_run.json
 
 # stratum federation demo: a 3-node core delegating to two downstream
 # tiers in one process, skewed clocks everywhere but the borders (~4 s)
@@ -151,24 +156,24 @@ strata-demo:
 # the CI hierarchy gate: a two-tier federation across real OS processes
 # over UDP, primary anchor crashed mid-run - the downstream border must
 # re-elect with zero soundness violations (fixed seed, partial archive)
-hierarchy-smoke:
+hierarchy-smoke: | $(BUILD)
 	$(PYTHON) -m repro.rt.strata.cli --procs --core-nodes 3 --tiers 1 \
 		--tier-nodes 2 --duration 8 --skew-ppm 120 --sync-period 0.15 \
 		--max-age 1.0 --crash-anchor 3 --seed 0 \
-		--require-sound --require-election --out strata_smoke_run.json
+		--require-sound --require-election --out $(BUILD)/strata_smoke_run.json
 
 # the CI serving gate: primary crash mid-load over loopback with skewed
 # clocks, plus a UDP swarm - both must end with zero unsound accepts
-serve-smoke:
+serve-smoke: | $(BUILD)
 	$(PYTHON) -m repro.rt.serve_cli --nodes 3 --duration 6 --clients 4 \
 		--crash-primary 2:4 --skew-ppm 100 --eps-max 0.02 \
-		--require-sound --out serve_smoke_run.json
+		--require-sound --out $(BUILD)/serve_smoke_run.json
 	$(PYTHON) -m repro.rt.serve_cli --nodes 2 --transport udp --duration 4 \
 		--clients 2 --require-sound
 
+$(BUILD):
+	mkdir -p $(BUILD)
+
 clean:
-	rm -rf .pytest_cache .hypothesis src/repro.egg-info
-	rm -f BENCH_fresh.json BENCH_raw.json BENCH_compare.md
-	rm -f serve_load_run.json serve_smoke_run.json strata_smoke_run.json
-	rm -f wire_smoke_run.json rt_loopback_run.json rt_udp_run.json
+	rm -rf .pytest_cache .hypothesis src/repro.egg-info $(BUILD)
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -56,6 +56,7 @@ import json
 import math
 import struct
 import zlib
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from ..core.bootstrap import BootstrapSnapshot
@@ -63,6 +64,7 @@ from ..core.errors import ProtocolError
 from ..core.events import Event, EventId, EventKind
 from ..core.history import HistoryPayload
 from .wire import (
+    FRAME_SCHEMA,
     FRAME_TYPES,
     MAX_BODY_BYTES,
     WIRE_VERSION_BINARY,
@@ -643,7 +645,208 @@ _BINARY = {
 _FIELDS = resolve_schema(_BINARY)
 
 
+# -- compiled rows: the scalar frame types ------------------------------------------------
+
+#: the fixed-width scalar kinds as ``(struct format, spread, take)``:
+#: ``spread(args, value)`` appends the value's numbers to the pack
+#: arguments, ``take(numbers)`` builds the value back from the iterator
+#: over the unpacked ones.  With the varint ``uint`` these are the kinds
+#: a compiled row can hold.
+_FIXED = {
+    "hops": ("B", list.append, next),
+    "f64": ("d", list.append, next),
+    "f64>=0": ("d", list.append, next),
+    "bool": ("B", list.append, lambda numbers: bool(next(numbers))),
+    "bound": (
+        "dd",
+        lambda args, bound: args.extend((bound.lower, bound.upper)),
+        lambda numbers: bound_of(next(numbers), next(numbers)),
+    ),
+}
+
+
+def _varint_segment(attr: str, rule):
+    def pack(frame: Frame, out: bytearray) -> None:
+        value = rule(getattr(frame, attr))
+        if value < 128:
+            out.append(value)
+        else:
+            _put_varint(out, value)
+
+    def unpack(body: bytes, pos: int, values: Dict) -> int:
+        # _Reader.varint without the reader (and with its overflow rule)
+        value = shift = 0
+        while True:
+            byte = body[pos]
+            pos += 1
+            value |= (byte & 0x7F) << shift
+            if byte < 128:
+                break
+            shift += 7
+            if shift > 70:
+                raise _Truncated("varint overflow")
+        values[attr] = rule(value)
+        return pos
+
+    return pack, unpack
+
+
+def _fixed_segment(fields: List[tuple]):
+    """One ``struct.Struct`` over a run of fixed-width ``(attr, kind, rule)``."""
+    layout = struct.Struct(">" + "".join(_FIXED[kind][0] for _, kind, _ in fields))
+    size = layout.size
+    packers = [(attr, rule, _FIXED[kind][1]) for attr, kind, rule in fields]
+    takers = [(attr, rule, _FIXED[kind][2]) for attr, kind, rule in fields]
+
+    def pack(frame: Frame, out: bytearray) -> None:
+        args: List = []
+        for attr, rule, spread in packers:
+            spread(args, rule(getattr(frame, attr)))
+        out += layout.pack(*args)
+
+    def unpack(body: bytes, pos: int, values: Dict) -> int:
+        numbers = iter(layout.unpack_from(body, pos))
+        for attr, rule, take in takers:
+            values[attr] = rule(take(numbers))
+        return pos + size
+
+    return pack, unpack
+
+
+def _compile_row(ftype: str):
+    """``(encode, decode)`` for a frame type whose fields are all of scalar kinds, else ``None``.
+
+    Derived from the schema row alone: each ``uint`` is a varint segment,
+    each maximal run of fixed-width kinds one struct segment; every value
+    still passes its rule.  Both functions answer ``None`` for anything
+    that is not the plain well-formed case - a refused field, a meta, a
+    truncated or over-long tail - and the generic loop takes the frame
+    from the start, so it stays the one place errors are attributed.
+    """
+    fields = [
+        (attr, kind, rule)
+        for (attr, kind, _), (_, _, rule, _, _) in zip(FRAME_SCHEMA[ftype], _FIELDS[ftype])
+    ]
+    # hello and join have no fields, and a meta on every frame
+    if not fields or any(kind != "uint" and kind not in _FIXED for _, kind, _ in fields):
+        return None
+    segments: List[tuple] = []
+    for fixed, run in groupby(fields, lambda field: field[1] in _FIXED):
+        if fixed:
+            segments.append(_fixed_segment(list(run)))
+        else:
+            segments.extend(_varint_segment(attr, rule) for attr, _, rule in run)
+    packers = [pack for pack, _ in segments]
+    unpackers = [unpack for _, unpack in segments]
+    code = FRAME_TYPES.index(ftype)
+
+    def encode(frame: Frame) -> Optional[bytes]:
+        if frame.meta:
+            return None
+        key = (code, frame.src, frame.dst)
+        prelude = _PRELUDES.get(key)
+        if prelude is None:
+            table = _StringTable()
+            prelude = b"\0" + _envelope(code, table, table.add(frame.src), table.add(frame.dst))
+            _memoize(_PRELUDES, key, prelude)
+        body = bytearray(prelude)
+        try:
+            for pack in packers:
+                pack(frame, body)
+        except FieldRefused:
+            return None
+        body.append(0)  # no meta
+        if len(body) > COMPRESS_THRESHOLD:
+            return None
+        return framed(WIRE_VERSION_BINARY, body)
+
+    def decode(body: bytes, pos: int) -> Optional[Dict]:
+        values: Dict = {}
+        try:
+            for unpack in unpackers:
+                pos = unpack(body, pos, values)
+            if body[pos] or pos + 1 != len(body):
+                return None  # a meta blob or trailing bytes
+        except (IndexError, struct.error, _Truncated, FieldRefused):
+            return None
+        return values
+
+    return encode, decode
+
+
+#: (type code, src, dst) -> the body up to the first field: zero flags,
+#: type code, string table, src/dst indexes
+_PRELUDES: Dict[tuple, bytes] = {}
+#: those same bytes off the wire -> ``(ftype, src, dst, compiled decode)``,
+#: learned from frames the generic decoder accepted whose envelope is in
+#: the encoder's shape (:func:`_fields_at`); a key is 261 bytes at most
+_ENVELOPES: Dict[bytes, tuple] = {}
+_MEMO_MAX = 1 << 12
+
+
+def _memoize(memo: Dict, key, value) -> None:
+    """Bounded like ``_EID_CACHE``: dropped when full."""
+    if len(memo) >= _MEMO_MAX:
+        memo.clear()
+    memo[key] = value
+
+
+#: frame type -> its compiled ``(encode, decode)``
+_COMPILED = {ftype: row for ftype in FRAME_TYPES if (row := _compile_row(ftype)) is not None}
+_COMPILED_CODES = frozenset(FRAME_TYPES.index(ftype) for ftype in _COMPILED)
+
+
+def _fields_at(body: bytes) -> Optional[int]:
+    """Where the fields start after an envelope in the encoder's shape, else ``None``.
+
+    That shape is what a frame without table strings gets: at most two
+    strings (src, dst), and the count, every length and both indexes
+    one-byte varints.  Nothing else is memoized or looked up, so the
+    sender of a padded string table chooses neither the size of a memo
+    key nor an entry the fast path would never read.  ``IndexError`` if
+    the body ends inside the envelope.
+    """
+    if body[2] > 2:
+        return None
+    pos = 3
+    for _ in range(body[2]):
+        if body[pos] > 127:
+            return None
+        pos += 1 + body[pos]
+    if body[pos] > 127 or body[pos + 1] > 127:
+        return None
+    return pos + 2
+
+
+def _decode_compiled(body: bytes) -> Optional[DecodeResult]:
+    """The frame of a compiled type whose envelope was seen before, else ``None``."""
+    try:
+        if body[1] not in _COMPILED_CODES:
+            return None
+        pos = _fields_at(body)
+    except IndexError:
+        return None
+    envelope = _ENVELOPES.get(body[:pos]) if pos else None
+    if envelope is None:
+        return None
+    ftype, src, dst, decode = envelope
+    values = decode(body, pos)
+    if values is None:
+        return None
+    return DecodeResult(
+        frame=make_frame(ftype, src, dst, {}, values), version=WIRE_VERSION_BINARY
+    )
+
+
 # -- frames ----------------------------------------------------------------------------
+
+
+def _envelope(code: int, table: _StringTable, src_idx: int, dst_idx: int) -> bytearray:
+    packed = bytearray((code,))
+    table.emit(packed)
+    _put_varint(packed, src_idx)
+    _put_varint(packed, dst_idx)
+    return packed
 
 
 def encode_frame_binary(frame: Frame) -> bytes:
@@ -653,6 +856,15 @@ def encode_frame_binary(frame: Frame) -> bytes:
     refuses, an oversized body, a non-JSON-safe meta) exactly like the
     JSON encoder.
     """
+    compiled = _COMPILED.get(frame.type)
+    if compiled is not None:
+        data = compiled[0](frame)
+        if data is not None:
+            return data
+    return _encode_generic(frame)
+
+
+def _encode_generic(frame: Frame) -> bytes:
     ftype = frame.type
     rows = _FIELDS.get(ftype)
     if rows is None:
@@ -667,10 +879,7 @@ def encode_frame_binary(frame: Frame) -> bytes:
     except FieldRefused as exc:
         raise ProtocolError(f"{ftype} {attr}: {exc}") from None
     # string table first (it is only complete once the fields packed)
-    packed = bytearray((FRAME_TYPES.index(ftype),))
-    table.emit(packed)
-    _put_varint(packed, src_idx)
-    _put_varint(packed, dst_idx)
+    packed = _envelope(FRAME_TYPES.index(ftype), table, src_idx, dst_idx)
     packed.extend(fields)
     if frame.meta:
         _json_blob(packed, dict(frame.meta))
@@ -697,6 +906,10 @@ def decode_body_binary(body: bytes) -> DecodeResult:
     result's ``version`` is always :data:`~repro.rt.wire.WIRE_VERSION_BINARY`
     so stateless endpoints can echo the codec.
     """
+    return _decode_compiled(body) or _decode_generic(body)
+
+
+def _decode_generic(body: bytes) -> DecodeResult:
     src: Optional[str] = None
     try:
         if not body:
@@ -733,6 +946,7 @@ def decode_body_binary(body: bytes) -> DecodeResult:
         dst = reader.string()
         if not src or not dst:
             return _bad("missing or non-string src/dst", src=src or None)
+        fields_at = 1 + reader.pos
         values = {}
         for attr, _, rule, _, get in _FIELDS[ftype]:
             values[attr] = rule(get(reader))
@@ -752,6 +966,9 @@ def decode_body_binary(body: bytes) -> DecodeResult:
         return _bad(str(exc), src=src)
     except FieldRefused as exc:
         return rejected(exc.code, f"{ftype} {attr}: {exc}", src, WIRE_VERSION_BINARY)
+    if not flags and ftype in _COMPILED and _fields_at(body) == fields_at:
+        # an envelope of a compiled type, validated by the walk above
+        _memoize(_ENVELOPES, body[:fields_at], (ftype, src, dst, _COMPILED[ftype][1]))
     return DecodeResult(
         frame=make_frame(ftype, src, dst, meta, values), version=WIRE_VERSION_BINARY
     )

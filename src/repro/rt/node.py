@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.csa import EfficientCSA
 from ..core.csa_base import Estimator, SuspicionPolicy
-from ..core.errors import SimulationError
+from ..core.errors import ProtocolError, SimulationError
 from ..core.events import Event, EventId, EventKind, ProcessorId
 from ..core.intervals import ClockBound
 from ..core.specs import SystemSpec
@@ -233,6 +233,8 @@ class Node:
         self.boot_oversized = 0
         #: plain syncs dropped (unacked) while holding out for a boot
         self.boot_deferred = 0
+        #: syncs no frame could carry (body over the cap): lost unsent
+        self.unencodable_syncs = 0
         #: elapsed instant after which a fresh joiner stops waiting
         self._boot_deadline: Optional[float] = None
         #: per-peer negotiated wire codec; every link starts as JSON and
@@ -433,7 +435,10 @@ class Node:
         the sponsor's causal past at the handshake send (Lemma 3.1), so
         handshake-receive plus snapshot is information-equivalent to a
         full replay.  An oversized snapshot degrades to a plain sync: the
-        joiner simply bootstraps cold off ordinary gossip.
+        joiner simply bootstraps cold off ordinary gossip.  A sync that
+        cannot be encoded at all (its payload outgrew ``MAX_BODY_BYTES``)
+        is a message lost before the wire, never an exception out of the
+        gossip loop or a timer callback.
         """
         rt, lt = self._next_point()
         event = Event(EventId(self.proc, self._next_seq), lt, EventKind.SEND, dest=dest)
@@ -463,8 +468,14 @@ class Node:
                     self.boot_oversized += 1
                     frame_bytes = None
         if frame_bytes is None:
-            frame_bytes = encode_frame(sync_frame(event, payload), codec)
-        self._send_frame(dest, frame_bytes)
+            try:
+                frame_bytes = encode_frame(sync_frame(event, payload), codec)
+            except ProtocolError:
+                # the send event stands but nothing goes on the wire: a
+                # lost message, which the ack timer below reports as one
+                self.unencodable_syncs += 1
+        if frame_bytes is not None:
+            self._send_frame(dest, frame_bytes)
         timer = asyncio.get_running_loop().call_later(
             self.config.retransmit.timeout_for(attempt),
             self._on_ack_timeout,

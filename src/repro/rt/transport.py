@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import socket
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..core.errors import SimulationError
@@ -210,18 +211,13 @@ class FaultMiddleware(Transport):
         )
 
 
-class _DatagramReceiver(asyncio.DatagramProtocol):
-    """Feed received datagrams to the transport's dispatch for one endpoint."""
+#: datagrams one read wakeup may dispatch before yielding to the event
+#: loop: large enough to drain a closed-loop client's burst in one turn,
+#: small enough that a flooded endpoint cannot starve the others
+DRAIN_BUDGET = 32
 
-    def __init__(self, transport: "UDPTransport", name: ProcessorId):
-        self._owner = transport
-        self._name = name
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._owner._dispatch(self._name, data)
-
-    def error_received(self, exc) -> None:
-        self._owner.socket_errors += 1
+#: receive buffer: no UDP datagram is larger
+_MAX_DATAGRAM = 65536
 
 
 class UDPTransport(Transport):
@@ -231,12 +227,20 @@ class UDPTransport(Transport):
     resolved at :meth:`start` time and written back into the (shared)
     mapping, so co-located nodes discover each other's ephemeral ports
     without extra plumbing; split-host deployments pass fixed ports.
+
+    The transport owns its sockets: each is non-blocking and watched with
+    ``loop.add_reader``; a read wakeup drains the socket - ``recvfrom``
+    until it would block, at most :data:`DRAIN_BUDGET` datagrams - so a
+    burst costs one event-loop turn instead of one per datagram.  Sending
+    is one ``sendto``; a full send buffer loses the datagram like any
+    other socket error (counted in :attr:`socket_errors`).
     """
 
     def __init__(self, addresses: Dict[ProcessorId, Tuple[str, int]]):
         super().__init__()
         self.addresses = addresses
-        self._endpoints: Dict[ProcessorId, asyncio.DatagramTransport] = {}
+        self._socks: Dict[ProcessorId, socket.socket] = {}
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self.socket_errors = 0
         self._started = False
 
@@ -247,9 +251,8 @@ class UDPTransport(Transport):
 
     async def stop(self) -> None:
         self._started = False
-        for transport in self._endpoints.values():
-            transport.close()
-        self._endpoints.clear()
+        for name in list(self._socks):
+            self._close(name)
 
     def register(self, name: ProcessorId, handler: Handler) -> None:
         if name not in self.addresses:
@@ -258,31 +261,66 @@ class UDPTransport(Transport):
 
     def unregister(self, name: ProcessorId) -> None:
         super().unregister(name)
-        transport = self._endpoints.pop(name, None)
-        if transport is not None:
-            transport.close()
+        self._close(name)
 
     async def ensure_endpoint(self, name: ProcessorId) -> None:
         """Open (or reopen, after unregister) the socket for ``name``."""
-        if self._started and name in self._handlers and name not in self._endpoints:
+        if self._started and name in self._handlers and name not in self._socks:
             await self._open(name)
 
     async def _open(self, name: ProcessorId) -> None:
         host, port = self.addresses[name]
-        loop = asyncio.get_running_loop()
-        transport, _protocol = await loop.create_datagram_endpoint(
-            lambda: _DatagramReceiver(self, name), local_addr=(host, port)
-        )
-        bound = transport.get_extra_info("sockname")
-        self.addresses[name] = (host, bound[1])
-        self._endpoints[name] = transport
+        self._loop = asyncio.get_running_loop()
+        try:
+            # a numeric host (every in-repo deployment) needs no lookup
+            found = socket.getaddrinfo(
+                host, port, type=socket.SOCK_DGRAM, flags=socket.AI_NUMERICHOST
+            )
+        except socket.gaierror:
+            # a hostname resolves off the loop thread: a DNS lookup must
+            # not stall the co-located endpoints
+            found = await self._loop.getaddrinfo(host, port, type=socket.SOCK_DGRAM)
+            if not self._started or name not in self._handlers or name in self._socks:
+                return  # stopped, unregistered or opened meanwhile
+        family, kind, proto, _, addr = found[0]
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            sock.bind(addr)
+        except OSError:
+            sock.close()
+            raise
+        self.addresses[name] = (host, sock.getsockname()[1])
+        self._socks[name] = sock
+        self._loop.add_reader(sock.fileno(), self._drain, name, sock)
+
+    def _close(self, name: ProcessorId) -> None:
+        sock = self._socks.pop(name, None)
+        if sock is not None:
+            self._loop.remove_reader(sock.fileno())
+            sock.close()
+
+    def _drain(self, name: ProcessorId, sock: socket.socket) -> None:
+        for _ in range(DRAIN_BUDGET):
+            try:
+                data, _addr = sock.recvfrom(_MAX_DATAGRAM)
+            except BlockingIOError:
+                return  # empty: the next datagram wakes the reader again
+            except OSError:
+                self.socket_errors += 1
+                return
+            self._dispatch(name, data)
+            if self._socks.get(name) is not sock:
+                return  # the handler closed (or reopened) this endpoint
+        # budget spent with datagrams left: the socket stays readable, so
+        # the loop calls back after every other ready endpoint had its turn
 
     def send(self, src: ProcessorId, dest: ProcessorId, data: bytes) -> None:
-        endpoint = self._endpoints.get(src)
+        sock = self._socks.get(src)
         addr = self.addresses.get(dest)
-        if endpoint is None or endpoint.is_closing() or addr is None:
+        if sock is None or addr is None:
             return  # sender not up (or peer unknown): datagram lost
         try:
-            endpoint.sendto(data, addr)
+            sock.sendto(data, addr)
         except OSError:
             self.socket_errors += 1

@@ -34,7 +34,7 @@ from repro.rt.cluster import (
 )
 from repro.rt.node import Node, NodeConfig
 from repro.rt.transport import LoopbackTransport
-from repro.rt.wire import encode_frame, sync_frame
+from repro.rt.wire import decode_frame, encode_frame, sync_frame
 from repro.core.events import Event, EventId, EventKind
 from repro.core.history import HistoryPayload
 from repro.sim.faults import FaultPlan, PartitionWindow, RetransmitPolicy
@@ -253,3 +253,68 @@ class TestNodeUnit:
         node._on_datagram(data)
         assert node.stats["n0"].received == 0
         assert node.stats["n0"].rejected_frames == 1
+
+
+class _BloatedToward(EfficientCSA):
+    """An estimator whose payloads toward one neighbor outgrow the frame cap."""
+
+    FILLER = tuple(
+        Event(EventId("n0", seq), 1.0 + seq, EventKind.INTERNAL) for seq in range(3000)
+    )
+
+    def on_send(self, event):
+        payload = super().on_send(event)
+        if event.dest != "n0":
+            return payload
+        return HistoryPayload(records=payload.records + self.FILLER)
+
+
+class TestUnencodableSync:
+    """ROADMAP item 1(c): a sync over ``MAX_BODY_BYTES`` is a lost message."""
+
+    def test_gossip_survives_and_other_peers_are_served(self):
+        spec = build_spec(_line3_config())
+        losses = []
+
+        def factory(config):
+            estimator = _BloatedToward(config.proc, config.spec, reliable=False)
+            on_loss = estimator.on_loss_detected
+            estimator.on_loss_detected = lambda eid: (losses.append(eid), on_loss(eid))
+            return estimator
+
+        async def run():
+            transport = LoopbackTransport()
+            await transport.start()
+            heard = {"n0": [], "n2": []}
+            for peer, box in heard.items():
+                transport.register(peer, box.append)
+            node = Node(
+                NodeConfig(
+                    proc="n1",
+                    spec=spec,
+                    gossip_period=0.01,
+                    retransmit=RetransmitPolicy(timeout=0.02, backoff=1.0, max_retries=1),
+                    estimator_factory=factory,
+                ),
+                transport,
+            )
+            await node.start()
+            await asyncio.sleep(0.12)
+            alive = not node._gossip_task.done()
+            await node.stop()
+            await transport.stop()
+            return node, heard, alive
+
+        node, heard, alive = asyncio.run(run())
+        assert alive, "the gossip task died on an unencodable sync"
+        assert node.unencodable_syncs >= 3
+        # every send event stands: logged, counted, and reported lost by
+        # the ack timer (including from inside the timeout's own retry)
+        assert node.stats["n0"].sent == node.unencodable_syncs
+        assert node.stats["n0"].retransmissions >= 1
+        unsent = {event.eid for event, _rt in node.trace_log if event.dest == "n0"}
+        assert node.stats["n0"].losses_signaled == len(unsent.intersection(losses)) >= 1
+        # nothing but the hello ever reached n0; n2 kept getting its syncs
+        assert [decode_frame(data).frame.type for data in heard["n0"]] == ["hello"]
+        assert sum(decode_frame(data).frame.type == "sync" for data in heard["n2"]) >= 3
+        assert node.estimator_errors == 0

@@ -1,4 +1,4 @@
-"""The frame schema: golden bytes, and rejection parity generated from it.
+"""The frame schema: golden bytes, rejection parity and compiled rows generated from it.
 
 ``repro.rt.wire.FRAME_SCHEMA`` is the one place a frame type's fields are
 spelled; every constructor, encoder and decoder walks it.  This module
@@ -17,9 +17,13 @@ pins the two things that table must never silently change:
   are derived from the table, so a new field of an existing kind is
   covered the moment it is added, and a new kind fails
   ``test_every_kind_has_hostile_values`` until it gets its own.
+* **the fast path** - the binary codec compiles the rows of every type
+  made of scalar kinds only; compiled and generic encode/decode must
+  agree on every frame, memo miss or hit (``TestCompiledRows``).
 """
 
 import contextlib
+import dataclasses
 import json
 import math
 import pathlib
@@ -28,11 +32,13 @@ import struct
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ProtocolError
 from repro.core.history import HistoryPayload
 from repro.core.intervals import ClockBound
-from repro.rt import wire
+from repro.rt import codec, wire
 from repro.rt.wire import (
     FRAME_SCHEMA,
     FRAME_TYPES,
@@ -401,3 +407,142 @@ class TestNegativeIntegerEncode:
 
         with _promptly(), pytest.raises(ProtocolError):
             _put_varint(bytearray(), -1)
+
+
+# -- compiled rows -----------------------------------------------------------------------
+
+#: the kinds a compiled row may hold (ISSUE 21): a varint and the fixed-width ones
+SCALAR_KINDS = {"uint", "hops", "f64", "f64>=0", "bool", "bound"}
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+#: kind -> valid values, including the widths a fast path could get wrong
+#: (multi-byte varints, a varint the decoder refuses as overflowing)
+SCALAR_VALUES = {
+    "uint": st.one_of(st.integers(0, 300), st.integers(0, 2**64), st.just(2**90)),
+    "hops": st.integers(1, MAX_DELEGATION_HOPS),
+    "f64": _finite,
+    "f64>=0": st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    "bool": st.booleans(),
+    "bound": st.tuples(_finite, _finite).map(lambda ends: ClockBound(min(ends), max(ends))),
+}
+
+#: endpoint names: plain, non-ASCII, and long enough (>= 128 utf-8 bytes)
+#: that the string table needs a two-byte length
+_names = st.one_of(
+    st.sampled_from(["a", "n1!serve", "c0"]),
+    st.text(min_size=1, max_size=12),
+    st.text(alphabet="aé時", min_size=128, max_size=140),
+)
+_metas = st.one_of(st.just({}), st.just({"wire": 2, "codecs": ["json"]}))
+
+
+def _compilable():
+    return {
+        ftype
+        for ftype, rows in FRAME_SCHEMA.items()
+        if rows and {kind for _, kind, _ in rows} <= SCALAR_KINDS
+    }
+
+
+@st.composite
+def _scalar_frames(draw):
+    ftype = draw(st.sampled_from(sorted(_compilable())))
+    src = draw(_names)
+    dst = draw(st.one_of(st.just(src), _names))
+    values = {attr: draw(SCALAR_VALUES[kind]) for attr, kind, _ in FRAME_SCHEMA[ftype]}
+    frame = getattr(wire, f"{ftype}_frame")(src, dst, **values)
+    return dataclasses.replace(frame, meta=draw(_metas))
+
+
+class TestCompiledRows:
+    """The compiled rows are the generic loop, faster - never different."""
+
+    def test_every_scalar_type_is_compiled_and_nothing_else(self):
+        # derived from the table: a new type of scalar kinds needs no new code
+        assert set(codec._COMPILED) == _compilable()
+        assert _compilable() == {"ack", "probe", "reply", "dreq", "deleg"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(frame=_scalar_frames())
+    def test_compiled_equals_generic_on_miss_and_hit(self, frame):
+        codec._PRELUDES.clear()
+        codec._ENVELOPES.clear()
+        data = codec._encode_generic(frame)
+        assert codec.encode_frame_binary(frame) == data  # prelude memo miss
+        assert codec.encode_frame_binary(frame) == data  # ... and hit
+        body = data[7:]
+        expected = codec._decode_generic(body)
+        # (a uint too wide for the varint reader is a frame both refuse alike)
+        assert expected.ok or 2**90 in vars(frame).values()
+        codec._ENVELOPES.clear()
+        assert codec.decode_body_binary(body) == expected  # envelope memo miss
+        assert codec.decode_body_binary(body) == expected  # ... and hit
+        assert decode_frame(data) == expected
+
+    @pytest.mark.parametrize("ftype", sorted(_compilable()))
+    def test_the_plain_case_takes_the_compiled_path(self, ftype):
+        # guards the property above against a fast path that never fires
+        frame = _valid_frame(ftype)
+        data = encode_frame(frame, "binary")
+        compiled_encode, _ = codec._COMPILED[ftype]
+        assert compiled_encode(frame) == data
+        assert decode_frame(data).frame == frame  # the generic walk learns the envelope
+        assert codec._decode_compiled(data[7:]).frame == frame
+
+    @pytest.mark.parametrize("ftype", sorted(_compilable()))
+    def test_what_the_compiled_path_declines(self, ftype):
+        frame = _valid_frame(ftype)
+        body = encode_frame(frame, "binary")[7:]
+        assert decode_frame(_reframe(WIRE_VERSION_BINARY, body)).ok
+        with_meta = dataclasses.replace(frame, meta={"k": 1})
+        compiled_encode, _ = codec._COMPILED[ftype]
+        assert compiled_encode(with_meta) is None
+        for declined in (
+            encode_frame(with_meta, "binary")[7:],
+            body + b"\x00",  # trailing bytes
+            body[:-1],  # truncated
+        ):
+            assert codec._decode_compiled(declined) is None
+
+    @pytest.mark.parametrize("ftype", sorted(_compilable()))
+    def test_only_envelopes_in_the_encoder_shape_are_memoized(self, ftype):
+        # the envelope memo is learned from untrusted frames: a sender must
+        # not choose the size of a key (a padded string table is valid, and
+        # can be as long as the body cap) nor plant entries no lookup reads
+        frame = _valid_frame(ftype)  # src "a", dst "b"
+        body = encode_frame(frame, "binary")[7:]
+        fields = body[codec._fields_at(body) :]
+        assert body[:3] == bytes((0, FRAME_TYPES.index(ftype), 2))
+        head, names = body[:2], b"\x01a\x01b"
+        long_name = "n" * 128  # a two-byte length
+        padding = bytearray()
+        codec._put_varint(padding, 50_000)
+        padding = bytes(padding) + b"p" * 50_000  # most of the body cap, referred to by nobody
+        codec._ENVELOPES.clear()
+        for envelope, dst in (
+            (head + b"\x03" + names + padding + b"\x00\x01", "b"),  # unused string
+            (head + b"\x03" + padding + names + b"\x01\x02", "b"),
+            (head + b"\x82\x00" + names + b"\x00\x01", "b"),  # over-long varints
+            (head + b"\x02" + names + b"\x80\x00\x01", "b"),
+            (head + b"\x02" + names + b"\x00\x81\x00", "b"),
+            (head + b"\x02\x81\x00a\x01b\x00\x01", "b"),
+            (head + b"\x02\x01a\x80\x01" + long_name.encode() + b"\x00\x01", long_name),
+        ):
+            result = decode_frame(_reframe(WIRE_VERSION_BINARY, envelope + fields))
+            assert result.frame == dataclasses.replace(frame, dst=dst), result.error
+            assert not codec._ENVELOPES
+        # ... and the shape the encoder writes is one short key, src == dst too
+        assert decode_frame(_reframe(WIRE_VERSION_BINARY, body)).frame == frame
+        self_addressed = head + b"\x01\x01a\x00\x00" + fields
+        assert decode_frame(_reframe(WIRE_VERSION_BINARY, self_addressed)).frame.dst == "a"
+        assert sorted(codec._ENVELOPES) == sorted([body[: -len(fields)], self_addressed[:7]])
+
+    def test_memos_are_bounded(self, monkeypatch):
+        monkeypatch.setattr(codec, "_MEMO_MAX", 4)
+        codec._PRELUDES.clear()
+        codec._ENVELOPES.clear()
+        for i in range(20):
+            frame = wire.ack_frame(f"n{i}", "b", i)
+            assert decode_frame(encode_frame(frame, "binary")).frame == frame
+            assert len(codec._PRELUDES) <= 4 and len(codec._ENVELOPES) <= 4

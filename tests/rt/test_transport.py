@@ -6,12 +6,14 @@ crashed/partitioned traffic suppressed) that the node daemon builds on.
 """
 
 import asyncio
+import socket
 
 import pytest
 
 from repro.core.errors import SimulationError
 from repro.rt.clock import TimeBase
 from repro.rt.transport import (
+    DRAIN_BUDGET,
     FaultMiddleware,
     LoopbackTransport,
     UDPTransport,
@@ -241,3 +243,162 @@ class TestUDP:
 
         box = asyncio.run(run())
         assert "b" not in box
+
+    def test_port_zero_resolves_into_the_shared_address_map(self):
+        async def run():
+            addresses = {"a": ("127.0.0.1", 0), "late": ("127.0.0.1", 0)}
+            transport = UDPTransport(addresses)
+            assert transport.addresses is addresses
+            transport.register("a", lambda data: None)
+            await transport.start()
+            # only open endpoints are resolved; a late one on ensure_endpoint
+            assert addresses["a"][1] != 0 and addresses["late"] == ("127.0.0.1", 0)
+            transport.register("late", lambda data: None)
+            await transport.ensure_endpoint("late")
+            resolved = dict(addresses)
+            await transport.ensure_endpoint("late")  # already open: a no-op
+            await transport.stop()
+            return addresses, resolved
+
+        addresses, resolved = asyncio.run(run())
+        assert addresses == resolved
+        assert all(host == "127.0.0.1" and port != 0 for host, port in resolved.values())
+
+    def test_hostname_resolves_off_the_loop_thread(self, monkeypatch):
+        blocking = socket.getaddrinfo
+
+        def numeric_only(host, port, *args, flags=0, **kwargs):
+            assert flags & socket.AI_NUMERICHOST, "a blocking lookup on the loop thread"
+            return blocking(host, port, *args, flags=flags, **kwargs)
+
+        async def run():
+            transport = UDPTransport({"a": ("sync.test", 0), "gone": ("gone.test", 0)})
+            asked = []
+
+            async def resolver(host, port, **kwargs):
+                asked.append(host)
+                if host == "gone.test":
+                    transport.unregister("gone")  # while its lookup is in flight
+                return blocking("127.0.0.1", port, **kwargs)
+
+            monkeypatch.setattr("repro.rt.transport.socket.getaddrinfo", numeric_only)
+            monkeypatch.setattr(asyncio.get_running_loop(), "getaddrinfo", resolver)
+            transport.register("a", lambda data: None)
+            transport.register("gone", lambda data: None)
+            await transport.start()
+            opened = dict(transport._socks)
+            await transport.stop()
+            return asked, list(opened), transport.addresses
+
+        asked, opened, addresses = asyncio.run(run())
+        assert asked == ["sync.test", "gone.test"]
+        assert opened == ["a"]  # no socket for an endpoint that left meanwhile
+        assert addresses["a"][0] == "sync.test" and addresses["a"][1] != 0
+        assert addresses["gone"] == ("gone.test", 0)
+
+    def test_burst_over_the_drain_budget_is_delivered_without_starving_others(self):
+        burst = [b"%d" % i for i in range(3 * DRAIN_BUDGET)]
+
+        async def run():
+            transport = UDPTransport({name: ("127.0.0.1", 0) for name in "abc"})
+            order = []
+            transport.register("a", lambda data: None)
+            transport.register("b", lambda data: order.append(("b", data)))
+            transport.register("c", lambda data: order.append(("c", data)))
+            await transport.start()
+            for data in burst:
+                transport.send("a", "b", data)
+            transport.send("a", "c", b"me too")
+            await _settle(0.1)
+            await transport.stop()
+            return order, transport.socket_errors
+
+        order, socket_errors = asyncio.run(run())
+        assert socket_errors == 0
+        assert [data for name, data in order if name == "b"] == burst
+        # c was read after b's first budget, not after b's whole backlog
+        assert DRAIN_BUDGET <= order.index(("c", b"me too")) < len(burst)
+
+    def test_handler_unregistering_its_endpoint_stops_the_drain(self):
+        async def run():
+            loop = asyncio.get_running_loop()
+            transport = UDPTransport({"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 0)})
+            got = []
+
+            def once(data):
+                got.append(data)
+                transport.unregister("b")
+
+            transport.register("a", lambda data: None)
+            transport.register("b", once)
+            await transport.start()
+            fd = transport._socks["b"].fileno()
+            for i in range(5):
+                transport.send("a", "b", b"%d" % i)
+            await _settle(0.05)
+            # the socket is closed and the loop no longer watches its fd
+            still_watched = loop.remove_reader(fd)
+            await transport.stop()
+            return got, "b" in transport._socks, still_watched
+
+        got, still_open, still_watched = asyncio.run(run())
+        assert got == [b"0"]
+        assert not still_open and not still_watched
+
+    def test_stop_removes_every_reader(self):
+        async def run():
+            loop = asyncio.get_running_loop()
+            transport = UDPTransport({name: ("127.0.0.1", 0) for name in "abc"})
+            for name in "abc":
+                transport.register(name, lambda data: None)
+            await transport.start()
+            socks = list(transport._socks.values())
+            fds = [sock.fileno() for sock in socks]
+            await transport.stop()
+            return [loop.remove_reader(fd) for fd in fds], [sock.fileno() for sock in socks]
+
+        watched, fds = asyncio.run(run())
+        assert watched == [False] * 3
+        assert fds == [-1] * 3  # closed
+
+    def test_socket_errors_are_counted_never_raised(self, monkeypatch):
+        class Flaky(socket.socket):
+            recv_failures = 0
+            send_error = None
+
+            def recvfrom(self, size):
+                if Flaky.recv_failures:
+                    Flaky.recv_failures -= 1
+                    raise OSError("injected receive failure")
+                return super().recvfrom(size)
+
+            def sendto(self, data, addr):
+                if Flaky.send_error is not None:
+                    raise Flaky.send_error
+                return super().sendto(data, addr)
+
+        async def run():
+            monkeypatch.setattr("repro.rt.transport.socket.socket", Flaky)
+            transport = UDPTransport({"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 0)})
+            box = {}
+            transport.register("a", _collector(box, "a"))
+            transport.register("b", _collector(box, "b"))
+            await transport.start()
+            monkeypatch.undo()
+            Flaky.recv_failures = 2
+            transport.send("a", "b", b"survives")
+            await _settle(0.05)
+            after_receive = transport.socket_errors
+            # a full send buffer (would-block) is one more way to lose a datagram
+            for Flaky.send_error in (OSError("injected send failure"), BlockingIOError()):
+                transport.send("a", "b", b"lost")
+            Flaky.send_error = None
+            await _settle(0.05)
+            await transport.stop()
+            return box, after_receive, transport.socket_errors
+
+        box, after_receive, total = asyncio.run(run())
+        # the failed reads left the datagram in the kernel: delivered after
+        assert box == {"b": [b"survives"]}
+        assert after_receive == 2
+        assert total == 4
