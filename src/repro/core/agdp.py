@@ -411,12 +411,13 @@ class AGDP:
             Tuple[NodeKey, Iterable[Tuple[NodeKey, NodeKey, float]], Iterable[NodeKey]]
         ],
     ) -> None:
-        """Apply many input steps in order (the batch-delivery hot path).
+        """Apply many ``(node, edges, kills)`` steps in order.
 
-        One delivered payload of ``k`` events becomes one call carrying
-        ``k`` ``(node, edges, kills)`` steps; observable behaviour (matrix
-        contents, stats counters, invariant-hook firing order, failure
-        points) is identical to ``k`` sequential :meth:`step` calls.
+        Observable behaviour (matrix contents, stats counters,
+        invariant-hook firing order, failure points) is identical to
+        sequential :meth:`step` calls.  The estimator steps once per
+        learned event itself; this stays because the layered benchmark's
+        hook table (``bench/trace.py``) names it.
         """
         for node, edges, kills in steps:
             self.step(node, edges, kills)

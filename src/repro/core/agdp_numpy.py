@@ -36,26 +36,6 @@ single-peer steps charging none - so complexity plots are
 backend-independent, and floats are summed in the same order, so
 distances are bit-identical.
 
-**Source-only mode** (``source_only=True``): for consumers that only ever
-read distances to/from one *anchor* node (the estimator's current source
-representative), the dense matrix is overkill - ``O(L^2)`` work per step
-to maintain rows nobody reads.  In this mode the solver keeps just the
-anchor's distance row ``d(anchor, .)`` and column ``d(., anchor)``,
-updated *exactly* by label-correcting relaxation over the retained
-accumulated-graph adjacency; an edge insertion costs O(affected edges)
-instead of O(L^2).  The trade-offs, documented in docs/PERFORMANCE.md:
-
-* only anchor-incident distances are queryable (:meth:`distance` raises
-  ``ValueError`` for other pairs);
-* re-anchoring (:meth:`set_anchor`, called by the estimator when a new
-  source event arrives) recomputes both vectors from scratch;
-* dead nodes' adjacency is retained so shortest paths through collected
-  points survive (the Lemma 3.4 guarantee) - space is O(total edges)
-  rather than the collected O(L^2), which is why the mode is opt-in;
-* negative cycles are detected by a relaxation budget *after* the edge
-  entered the adjacency, so the mode cannot back the degraded/hardened
-  estimator (those need refusal-before-mutation).
-
 The contract (and the Lemma 3.4/3.5 semantics) is identical to the dict
 solver; the equivalence is enforced property-based in
 ``tests/core/test_agdp_numpy.py`` and the speed difference measured in
@@ -68,7 +48,6 @@ step to, refusals included.
 from __future__ import annotations
 
 import math
-from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -99,47 +78,31 @@ class NumpyAGDP:
         source: Optional[NodeKey] = None,
         *,
         gc_enabled: bool = True,
-        source_only: bool = False,
     ):
         self._source = source
         self._gc_enabled = gc_enabled
-        self._source_only = source_only
         self._dead: Set[NodeKey] = set()
         self.stats = AGDPStats()
         #: debug-mode callback invoked with ``self`` after every mutating
         #: edge insertion and kill (see repro.testing.invariants); None in
         #: production - the checks are O(n^3) per call
         self.invariant_hook = None
-        if source_only:
-            #: anchor-incident exact distances (see module docstring)
-            self._anchor: Optional[NodeKey] = None
-            self._row: Dict[NodeKey, float] = {}  # d(anchor, .)
-            self._col: Dict[NodeKey, float] = {}  # d(., anchor)
-            #: retained adjacency of the accumulated graph, dead nodes
-            #: included (paths through collected points must survive)
-            self._adj_out: Dict[NodeKey, List[Tuple[NodeKey, float]]] = {}
-            self._adj_in: Dict[NodeKey, List[Tuple[NodeKey, float]]] = {}
-            self._edge_count = 0
-            self._members: Set[NodeKey] = set()
-        else:
-            self._capacity = _INITIAL_CAPACITY
-            # cells outside the active prefix are never read as distances,
-            # but the whole-row closure takes ``min(cell, +inf)`` of the
-            # ones right of it: the store starts as +inf so that no NaN
-            # left in fresh memory ever meets that ``minimum``
-            self._matrix = np.full((self._capacity, self._capacity), np.inf)
-            #: reusable buffers of the closure, grown with the matrix and
-            #: always written before they are read: the candidates (outer
-            #: sum) and the row operand padded to a whole row
-            self._scratch = np.empty((self._capacity, self._capacity))
-            self._padded = np.empty(self._capacity)
-            self._n = 0
-            self._slot: Dict[NodeKey, int] = {}
-            self._keys: List[NodeKey] = []  # slot index -> node key
+        self._capacity = _INITIAL_CAPACITY
+        # cells outside the active prefix are never read as distances,
+        # but the whole-row closure takes ``min(cell, +inf)`` of the
+        # ones right of it: the store starts as +inf so that no NaN
+        # left in fresh memory ever meets that ``minimum``
+        self._matrix = np.full((self._capacity, self._capacity), np.inf)
+        #: reusable buffers of the closure, grown with the matrix and
+        #: always written before they are read: the candidates (outer
+        #: sum) and the row operand padded to a whole row
+        self._scratch = np.empty((self._capacity, self._capacity))
+        self._padded = np.empty(self._capacity)
+        self._n = 0
+        self._slot: Dict[NodeKey, int] = {}
+        self._keys: List[NodeKey] = []  # slot index -> node key
         if source is not None:
             self.add_node(source)
-            if source_only:
-                self.set_anchor(source)
 
     # -- inspection --------------------------------------------------------------
 
@@ -151,29 +114,14 @@ class NumpyAGDP:
     def gc_enabled(self) -> bool:
         return self._gc_enabled
 
-    @property
-    def source_only(self) -> bool:
-        return self._source_only
-
-    @property
-    def anchor(self) -> Optional[NodeKey]:
-        """The anchor node of source-only mode (None in dense mode)."""
-        return self._anchor if self._source_only else None
-
     def __contains__(self, node: NodeKey) -> bool:
-        if self._source_only:
-            return node in self._members
         return node in self._slot
 
     def __len__(self) -> int:
-        if self._source_only:
-            return len(self._members)
         return len(self._slot)
 
     @property
     def nodes(self) -> Set[NodeKey]:
-        if self._source_only:
-            return set(self._members)
         return set(self._slot)
 
     @property
@@ -187,21 +135,13 @@ class NumpyAGDP:
             raise KeyError(f"node {node!r} is not tracked by this AGDP") from None
 
     def distance(self, x: NodeKey, y: NodeKey) -> float:
-        if self._source_only:
-            return self._so_distance(x, y)
         return float(self._matrix[self._slot_of(x), self._slot_of(y)])
 
     def distances_from(self, x: NodeKey) -> Dict[NodeKey, float]:
-        if self._source_only:
-            self._so_require_anchor(x, "distances_from")
-            return {node: self._row.get(node, INF) for node in self._members}
         row = self._matrix[self._slot_of(x)]
         return {key: float(row[i]) for key, i in self._slot.items()}
 
     def distances_to(self, y: NodeKey) -> Dict[NodeKey, float]:
-        if self._source_only:
-            self._so_require_anchor(y, "distances_to")
-            return {node: self._col.get(node, INF) for node in self._members}
         col = self._matrix[:, self._slot_of(y)]
         return {key: float(col[i]) for key, i in self._slot.items()}
 
@@ -220,21 +160,16 @@ class NumpyAGDP:
     def add_node(self, node: NodeKey) -> None:
         if node in self:
             raise ValueError(f"node {node!r} already present")
-        if self._source_only:
-            self._members.add(node)
-            self._row.setdefault(node, 0.0 if node == self._anchor else INF)
-            self._col.setdefault(node, 0.0 if node == self._anchor else INF)
-        else:
-            if self._n == self._capacity:
-                self._grow()
-            index = self._n
-            self._n += 1
-            m = self._matrix
-            m[index, : self._n] = np.inf
-            m[: self._n, index] = np.inf
-            m[index, index] = 0.0
-            self._slot[node] = index
-            self._keys.append(node)
+        if self._n == self._capacity:
+            self._grow()
+        index = self._n
+        self._n += 1
+        m = self._matrix
+        m[index, : self._n] = np.inf
+        m[: self._n, index] = np.inf
+        m[index, index] = 0.0
+        self._slot[node] = index
+        self._keys.append(node)
         self.stats.nodes_added += 1
         self.stats.max_nodes = max(self.stats.max_nodes, len(self))
 
@@ -244,9 +179,6 @@ class NumpyAGDP:
         The per-event hot path is :meth:`step`, which pays one closure per
         *node*; this pays one per edge.
         """
-        if self._source_only:
-            self._so_insert_edge(x, y, weight)
-            return
         xi = self._slot_of(x)
         yi = self._slot_of(y)
         if math.isnan(weight):
@@ -308,10 +240,6 @@ class NumpyAGDP:
         self.stats.nodes_killed += 1
         if not self._gc_enabled:
             self._dead.add(node)
-        elif self._source_only:
-            # row/col/adjacency entries are retained: future relaxations may
-            # route through this node (Lemma 3.4); only queryability ends
-            self._members.discard(node)
         else:
             index = self._slot.pop(node)
             n = self._n
@@ -353,9 +281,6 @@ class NumpyAGDP:
         (in place on ``q``'s own row and column when that is ``q``), or
         into slot ``n`` when it kills none.
         """
-        if self._source_only:
-            self._so_step(node, edges, kills)
-            return
         slot = self._slot
         if node in slot:
             raise ValueError(f"node {node!r} already present")
@@ -468,148 +393,10 @@ class NumpyAGDP:
             Tuple[NodeKey, Iterable[Tuple[NodeKey, NodeKey, float]], Iterable[NodeKey]]
         ],
     ) -> None:
-        """Apply many input steps in order (the batch-delivery hot path).
-
-        Same contract as :meth:`repro.core.agdp.AGDP.step_batch`:
-        observable behaviour is identical to sequential :meth:`step` calls.
-        """
+        """Apply many input steps in order; see :meth:`AGDP.step_batch`."""
         for node, edges, kills in steps:
             self.step(node, edges, kills)
 
     def matrix_size(self) -> int:
-        """Current number of distance cells held (space proxy, Lemma 3.5).
-
-        In source-only mode: the two anchor vectors (the matrix is never
-        materialised); adjacency space is reported by ``edge_space()``.
-        """
-        if self._source_only:
-            return 2 * len(self._row)
+        """Current number of distance cells held (space proxy, Lemma 3.5)."""
         return len(self._slot) * len(self._slot)
-
-    def edge_space(self) -> int:
-        """Retained adjacency entries (source-only mode; 0 in dense mode)."""
-        return 2 * self._edge_count if self._source_only else 0
-
-    # -- source-only mode ---------------------------------------------------------
-
-    def set_anchor(self, node: NodeKey) -> None:
-        """Re-anchor the maintained row/column at ``node`` (source-only mode).
-
-        Recomputes ``d(node, .)`` and ``d(., node)`` from scratch over the
-        retained adjacency - O(V * E) worst case, called only when the
-        source representative changes.
-        """
-        if not self._source_only:
-            raise ValueError("set_anchor is only meaningful in source_only mode")
-        if node not in self._members:
-            raise KeyError(f"node {node!r} is not present")
-        self._anchor = node
-        self._row = {n: INF for n in self._row}
-        self._col = {n: INF for n in self._col}
-        self._row[node] = 0.0
-        self._col[node] = 0.0
-        self._so_propagate(self._row, self._adj_out, [node])
-        self._so_propagate(self._col, self._adj_in, [node])
-
-    def _so_require_anchor(self, node: NodeKey, op: str) -> None:
-        if node not in self._members:
-            raise KeyError(f"node {node!r} is not tracked by this AGDP")
-        if node != self._anchor:
-            raise ValueError(
-                f"source-only AGDP can answer {op} only at its anchor "
-                f"({self._anchor!r}), not {node!r}; use the full backend for "
-                "arbitrary pairs"
-            )
-
-    def _so_distance(self, x: NodeKey, y: NodeKey) -> float:
-        if x not in self._members or y not in self._members:
-            raise KeyError(f"node {x!r} or {y!r} is not tracked by this AGDP")
-        if x == self._anchor:
-            return self._row.get(y, INF)
-        if y == self._anchor:
-            return self._col.get(x, INF)
-        if x == y:
-            return 0.0
-        raise ValueError(
-            f"source-only AGDP cannot answer d({x!r}, {y!r}): neither endpoint "
-            f"is the anchor ({self._anchor!r}); use the full backend for "
-            "arbitrary pairs"
-        )
-
-    def _so_step(self, node, edges, kills) -> None:
-        # negative cycles surface only after the adjacency changed, so there
-        # is nothing to refuse before writing: inconsistency always raises
-        self.add_node(node)
-        for x, y, w in edges:
-            if node not in (x, y):
-                raise not_incident_error(node, x, y)
-            self._so_insert_edge(x, y, w)
-        for victim in kills:
-            self.kill(victim)
-
-    def _so_insert_edge(self, x: NodeKey, y: NodeKey, weight: float) -> None:
-        if x not in self._members or y not in self._members:
-            raise KeyError(f"edge endpoints {x!r}, {y!r} must be present")
-        if math.isnan(weight):
-            raise ValueError("edge weight must not be NaN")
-        if math.isinf(weight):
-            return
-        if x == y:
-            if weight < 0:
-                raise negative_self_loop_error(x, weight)
-            return
-        self.stats.edges_inserted += 1
-        # the one cycle visible without the full matrix: through the anchor
-        if self._anchor is not None:
-            back = self._col.get(y, INF) + self._row.get(x, INF)
-            if back + weight < -1e-9:
-                raise InconsistentSpecificationError(
-                    f"inserting ({x!r} -> {y!r}, {weight}) closes a negative "
-                    f"cycle through the anchor (d({y!r}, {x!r}) <= {back})",
-                    edge=(x, y, weight),
-                )
-        self._adj_out.setdefault(x, []).append((y, weight))
-        self._adj_in.setdefault(y, []).append((x, weight))
-        self._edge_count += 1
-        if self._anchor is None:
-            return
-        if self._row[x] + weight < self._row[y]:
-            self._row[y] = self._row[x] + weight
-            self._so_propagate(self._row, self._adj_out, [y])
-        if self._col[y] + weight < self._col[x]:
-            self._col[x] = self._col[y] + weight
-            self._so_propagate(self._col, self._adj_in, [x])
-        if self.invariant_hook is not None:
-            self.invariant_hook(self)
-
-    def _so_propagate(
-        self,
-        dist: Dict[NodeKey, float],
-        adjacency: Dict[NodeKey, List[Tuple[NodeKey, float]]],
-        seeds: List[NodeKey],
-    ) -> None:
-        """Label-correcting relaxation from ``seeds`` (queue Bellman-Ford).
-
-        Exact for graphs without negative cycles; a FIFO queue pops each
-        node at most V times, so exceeding ``(V + 1)^2`` pops proves a
-        negative cycle (raised as inconsistency - the adversary's problem,
-        not ours, but detected after the adjacency mutation; see the module
-        docstring for why degraded mode cannot use this backend).
-        """
-        queue = deque(seeds)
-        pops = 0
-        limit = (len(dist) + 1) ** 2
-        while queue:
-            u = queue.popleft()
-            pops += 1
-            if pops > limit:
-                raise InconsistentSpecificationError(
-                    "relaxation did not converge: the inserted constraints "
-                    "contain a negative cycle"
-                )
-            du = dist[u]
-            for v, w in adjacency.get(u, ()):
-                self.stats.pair_updates += 1
-                if du + w < dist[v]:
-                    dist[v] = du + w
-                    queue.append(v)

@@ -12,7 +12,7 @@ Per processor the algorithm composes three pieces:
    ceased to be live;
 3. the **AGDP solver** (Figure 3, :class:`~repro.core.agdp.AGDP`), which
    maintains exact distances between all live points in `O(L^2)` space and
-   `O(L^2)` time per inserted edge (Lemmas 3.4/3.5).
+   `O(L^2)` time per inserted node (Lemmas 3.4/3.5).
 
 The estimate at a point ``p`` is then read off AGDP distances to/from the
 latest known source point ``sp`` (always live - it is the last known point
@@ -28,54 +28,58 @@ Message loss (Sec 3.3) is supported end-to-end: a detection signal flags
 the lost send, un-lives it, propagates the flag through history payloads,
 and each processor garbage-collects the point from its AGDP.
 
-**Degraded mode** (``degraded_mode=True``): by Theorem 2.1 a negative
-cycle can only appear when the execution violates its own specification
-(out-of-spec drift or delay) - the AGDP refuses the closing edge with
-:class:`~repro.core.errors.InconsistentSpecificationError` *before*
-mutating its matrix.  In degraded mode the estimator catches that per
-edge, quarantines the constraint, records a structured
+:class:`EfficientCSA` is laid out in that order - *Sec 3* (event hooks,
+one AGDP step per learned event, estimates) - followed by three
+extensions, each switched by one constructor argument and none of them on
+the path of an estimator that does not ask for it:
+
+**Quarantine and blame** (``degraded_mode=True``, ``suspicion=...``): by
+Theorem 2.1 a negative cycle can only appear when the execution violates
+its own specification (out-of-spec drift or delay) - the AGDP refuses the
+closing edge with :class:`~repro.core.errors.InconsistentSpecificationError`
+*before* mutating its matrix.  In degraded mode the estimator collects the
+refusals per step, quarantines each constraint, records a structured
 :class:`QuarantineDiagnostic`, and keeps answering queries from the
 remaining (still mutually consistent) constraints.  Dropping constraints
 is sound: distances only grow, so bounds only widen; it merely forfeits
-optimality for the affected pairs.
-
-**AGDP backends** (``agdp_backend``): ``"dict"`` (pure-Python, the
-reference), ``"numpy"`` (compacted dense matrix, vectorised Ausiello
-update - observably identical to the dict solver and the default
-wherever numpy is importable; pass ``"dict"`` explicitly to force the
-pure-Python solver), and
-``"numpy-source-only"`` (maintains only the source representative's
-distance row/column by incremental relaxation - O(affected edges) per
-insertion; :meth:`estimate` and :meth:`estimate_of` work,
-:meth:`relative_estimate` raises, degraded/hardened modes are rejected).
-See docs/PERFORMANCE.md for the selection guide.
-
-**Hardened mode** (``suspicion=SuspicionPolicy(...)``; implies degraded
-mode): the Byzantine-input pipeline of docs/FAULTS.md.  Incoming history
-payloads are screened by :mod:`repro.core.validate` before any state
-changes; validation failures and quarantined edges feed a per-processor
+optimality for the affected pairs.  With a ``SuspicionPolicy`` (hardened
+mode, implies degraded mode: the Byzantine-input pipeline of
+docs/FAULTS.md) incoming history payloads are screened by
+:mod:`repro.core.validate` before any state changes; validation failures
+and quarantined edges feed a per-processor
 :class:`~repro.core.csa_base.SuspicionTracker`; past the policy threshold
 the accused processor is *evicted* - every constraint derived from its
-claims leaves the synchronization graph.  The AGDP cannot un-insert
-edges, so eviction rebuilds the live tracker and solver by replaying the
-estimator's event log with the evicted processor's events excluded (the
-log is why hardened mode keeps O(events) extra memory).  Replay-rebuild
-is used instead of the view-level
-:meth:`~repro.core.view.View.without_events` because that primitive also
-excises the *causal future* of the dropped events - correct for views,
-but here nearly every honest event sits causally after a long-connected
-liar's early events; the graph layer can keep honest drift chains and
-simply skip edges whose other endpoint is gone, which Theorem 2.1
-licenses (dropping constraints only widens bounds).  After a blame-free
-clean window the processor is rehabilitated: only events *past* the
-frontier known at rehabilitation re-enter the graph.
+claims leaves the synchronization graph.  After a blame-free clean window
+the processor is rehabilitated: only events *past* the frontier known at
+rehabilitation re-enter the graph.
+
+**Audit and rebuild** (``self_heal=True``; evictions use the rebuild
+too): the AGDP cannot un-insert edges, so eviction and self-stabilization
+rebuild the live tracker and solver by replaying the estimator's
+:class:`ReplayLog` (with the evicted processors' events excluded; the log
+is why these modes keep O(events) extra memory).  Replay-rebuild is used
+instead of the view-level :meth:`~repro.core.view.View.without_events`
+because that primitive also excises the *causal future* of the dropped
+events - correct for views, but here nearly every honest event sits
+causally after a long-connected liar's early events; the graph layer can
+keep honest drift chains and simply skip edges whose other endpoint is
+gone, which Theorem 2.1 licenses.  A self-healing estimator audits its
+structural invariants at every hook and every read.
+
+**Sponsor bootstrap** (:meth:`EfficientCSA.bootstrap_from`): a late
+joiner adopts a sponsor's live frontier and live-live distances instead
+of the whole history (:mod:`repro.core.bootstrap`).
+
+**AGDP backends** (``agdp_backend``): ``"dict"`` (pure Python) and
+``"numpy"`` (dense matrix, observably identical, the default wherever
+numpy is importable).  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .agdp import AGDP
 from .bootstrap import BootstrapSnapshot
@@ -129,7 +133,7 @@ class QuarantineDiagnostic:
 class RecoveryEvent:
     """One self-stabilization episode: corruption detected, state rebuilt."""
 
-    #: local time of the event hook whose entry audit caught the corruption
+    #: local time of the hook or read whose entry audit caught the corruption
     at_lt: float
     #: which structural invariant failed (the detector's message)
     reason: str
@@ -153,6 +157,64 @@ class CSAStats:
         return self.max_agdp_nodes * self.max_agdp_nodes + self.max_history_buffer
 
 
+class ReplayLog:
+    """Everything an estimator was told, in the order it was told.
+
+    The durable ground truth that evictions and self-stabilization rebuild
+    from: an adopted bootstrap snapshot, every event fed to the graph
+    layer, every loss flag with the point of the run at which it was
+    applied, and the records that were only ever forwarded.
+    """
+
+    def __init__(self) -> None:
+        #: late-joiner handoff adopted at bootstrap; the prefix of every replay
+        self.snapshot: Optional[BootstrapSnapshot] = None
+        #: every event fed to the graph layer, in arrival order
+        self.events: List[Event] = []
+        self.index: Dict[EventId, Event] = {}
+        #: loss flag -> number of events logged when it was first applied (0
+        #: for a snapshot's flags), so a replay applies it at the same point
+        self.flags: Dict[EventId, int] = {}
+        #: frontier-covered records the history re-buffered for forwarding
+        #: but never learned (so absent from ``events``), in arrival order;
+        #: recovery restores the forwarding buffer from them
+        self.forwarded: Dict[EventId, Event] = {}
+
+    def append(self, event: Event) -> None:
+        self.events.append(event)
+        self.index[event.eid] = event
+
+    def flag(self, send_eid: EventId) -> None:
+        self.flags.setdefault(send_eid, len(self.events))
+
+    def note_forwarded(self, records: Iterable[Event]) -> None:
+        """Retain the records of a delivered payload that were not learned."""
+        for record in records:
+            eid = record.eid
+            if eid not in self.index and eid not in self.forwarded:
+                self.forwarded[eid] = record
+
+    def adopt(self, snapshot: BootstrapSnapshot) -> None:
+        self.snapshot = snapshot
+        self.flags.update(dict.fromkeys(snapshot.loss_flags, 0))
+
+    def replay(self) -> Iterator[Union[Event, EventId]]:
+        """Events and loss flags (bare ids) in the order the run applied them.
+
+        A replay therefore never holds more live points than the run did,
+        and a delivery that came after its flag stays without transit
+        edges.  The snapshot is not part of the stream: the consumer
+        applies it to its fresh structures first.
+        """
+        flags_at: Dict[int, List[EventId]] = {}
+        for flag, position in self.flags.items():
+            flags_at.setdefault(position, []).append(flag)
+        yield from flags_at.get(0, ())
+        for position, event in enumerate(self.events, 1):
+            yield event
+            yield from flags_at.get(position, ())
+
+
 class _LogKnowledge:
     """Adapter exposing a hardened estimator's knowledge to the validator."""
 
@@ -163,7 +225,7 @@ class _LogKnowledge:
         return self._csa.history.known_seq(proc)
 
     def lookup(self, eid: EventId) -> Optional[Event]:
-        return self._csa._log_index.get(eid)
+        return self._csa._log.index.get(eid)
 
     def rejected_seq(self, proc: ProcessorId) -> int:
         return self._csa._rejected_hwm.get(proc, -1)
@@ -196,40 +258,16 @@ class EfficientCSA(Estimator):
             # tests/core/test_agdp_numpy.py) and far faster on the payload
             # hot path, so it is the default wherever numpy exists
             agdp_backend = "numpy" if _numpy_available() else "dict"
-        if agdp_backend == "numpy-source-only" and (
-            degraded_mode or suspicion is not None
-        ):
-            # quarantine needs the solver to refuse a bad constraint
-            # *before* mutating; the source-only solver detects negative
-            # cycles only during relaxation, after the adjacency changed
-            raise ValueError(
-                "the 'numpy-source-only' AGDP backend cannot run in degraded "
-                "or hardened mode (no pre-mutation inconsistency detection); "
-                "use 'dict' or 'numpy'"
-            )
-        if agdp_backend == "numpy-source-only" and self_heal:
-            # the structural audit reads matrix diagonals and the recovery
-            # path replays pairwise constraints; the anchored row/column
-            # solver retains neither
-            raise ValueError(
-                "the 'numpy-source-only' AGDP backend cannot self-heal; "
-                "use 'dict' or 'numpy'"
-            )
         # expensive structural self-checks after every event hook and AGDP
         # mutation; None defers to the REPRO_DEBUG environment variable
         from ..testing.invariants import debug_checks_enabled
 
         self._debug_checks = debug_checks_enabled(debug_checks)
+        self.reliable = reliable
         self._history_gc = history_gc
         self._track_reports = track_reports
-        self.history = HistoryModule(
-            proc,
-            spec.neighbors(proc),
-            reliable=reliable,
-            track_reports=track_reports,
-            gc_enabled=history_gc,
-        )
-        self.live = LiveTracker()
+        self._agdp_backend = agdp_backend
+        self._agdp_gc = agdp_gc
         #: edge-weight factors read once from the (static) spec: per
         #: processor ``(beta - 1, 1 - alpha)``, per directed link
         #: ``(sender, receiver)`` the transit ``(upper, lower)``
@@ -237,55 +275,42 @@ class EfficientCSA(Estimator):
         self._transit_pairs: Dict[
             Tuple[ProcessorId, ProcessorId], Tuple[float, float]
         ] = {}
-        self._agdp_backend = agdp_backend
-        self._agdp_gc = agdp_gc
-        self.agdp = self._make_agdp()
-        self.reliable = reliable
+        self.history = self._make_history()
+        self._fresh_graph()
+        #: pending history delivery tokens per local send (unreliable mode)
+        self._pending_tokens: Dict[EventId, int] = {}
         #: quarantine instead of raising on InconsistentSpecificationError;
         #: hardened mode blames on quarantines, so suspicion implies it
         self.degraded_mode = degraded_mode or suspicion is not None
         #: structured diagnostics of quarantined constraints (degraded mode)
         self.diagnostics: List[QuarantineDiagnostic] = []
-        #: latest known event of the source processor (the AGDP query anchor)
-        self._source_rep: Optional[EventId] = None
-        #: pending history delivery tokens per local send (unreliable mode)
-        self._pending_tokens: Dict[EventId, int] = {}
         #: per-processor blame ledger (hardened mode only)
         self._suspicion_policy = suspicion
-        self.suspicion: Optional[SuspicionTracker] = (
-            SuspicionTracker(suspicion, protect=(proc, spec.source))
-            if suspicion is not None
-            else None
-        )
+        self.suspicion = self._make_ledger()
         #: structured outcomes of payload screening (hardened mode only)
         self.validation_failures: List[ValidationFailure] = []
         #: highest record seq ever rejected per origin - lets the validator
         #: recognize self-inflicted gaps (see ReceiverKnowledge.rejected_seq)
         self._rejected_hwm: Dict[ProcessorId, int] = {}
-        #: every event ever fed to the graph layer, in arrival order; the
-        #: replay source for eviction rebuilds (hardened mode only)
-        self._event_log: List[Event] = []
-        self._log_index: Dict[EventId, Event] = {}
-        self._replaying = False
         #: self-stabilization (churn extension): audit structural invariants
-        #: at every event hook and rebuild from the retained log on failure
+        #: at every event hook and read, rebuild from the log on failure
         self.self_heal = self_heal
-        #: the event log doubles as the recovery replay source, so it is
-        #: retained for self-healing estimators even outside hardened mode
-        self._retain_log = self.suspicion is not None or self_heal
-        #: loss flags in arrival order, each with the length of the event
-        #: log when it was applied (0 for a bootstrap snapshot's flags), so a
-        #: rebuild applies it at the same point of the replay; durable
-        #: across history rebuilds
-        self._flag_log: Dict[EventId, int] = {}
-        #: frontier-covered records re-buffered for forwarding but never
-        #: learned (so absent from the event log); kept in arrival order so
-        #: recovery can restore the forwarding buffer exactly
-        self._rebuffer_log: Dict[EventId, Event] = {}
-        #: late-joiner handoff adopted at bootstrap; replay prefix of rebuilds
-        self._bootstrap: Optional[BootstrapSnapshot] = None
+        #: what eviction rebuilds and recoveries replay; an estimator that
+        #: does neither keeps no log
+        self._log: Optional[ReplayLog] = (
+            ReplayLog() if suspicion is not None or self_heal else None
+        )
         self.recoveries = 0
         self.recovery_events: List[RecoveryEvent] = []
+
+    def _make_history(self) -> HistoryModule:
+        return HistoryModule(
+            self.proc,
+            self.spec.neighbors(self.proc),
+            reliable=self.reliable,
+            track_reports=self._track_reports,
+            gc_enabled=self._history_gc,
+        )
 
     def _make_agdp(self):
         if self._agdp_backend == "dict":
@@ -294,18 +319,9 @@ class EfficientCSA(Estimator):
             from .agdp_numpy import NumpyAGDP
 
             agdp = NumpyAGDP(gc_enabled=self._agdp_gc)
-        elif self._agdp_backend == "numpy-source-only":
-            # O(affected edges) per insertion instead of O(L^2): maintains
-            # only the source representative's distance row/column, which
-            # is all estimate()/estimate_of() read.  relative_estimate()
-            # needs arbitrary pairs and raises; see docs/PERFORMANCE.md.
-            from .agdp_numpy import NumpyAGDP
-
-            agdp = NumpyAGDP(gc_enabled=self._agdp_gc, source_only=True)
         else:
             raise ValueError(
-                f"unknown AGDP backend {self._agdp_backend!r} "
-                "(use 'dict', 'numpy', or 'numpy-source-only')"
+                f"unknown AGDP backend {self._agdp_backend!r} (use 'dict' or 'numpy')"
             )
         if self._debug_checks:
             from ..testing.invariants import check_agdp_invariants
@@ -314,15 +330,12 @@ class EfficientCSA(Estimator):
             agdp.invariant_hook = check_agdp_invariants
         return agdp
 
-    @property
-    def degraded(self) -> bool:
-        """Whether any constraint has been quarantined so far."""
-        return bool(self.diagnostics)
-
-    @property
-    def eviction_events(self):
-        """Suspicion state transitions so far (empty outside hardened mode)."""
-        return tuple(self.suspicion.events) if self.suspicion is not None else ()
+    def _make_ledger(self) -> Optional[SuspicionTracker]:
+        if self._suspicion_policy is None:
+            return None
+        return SuspicionTracker(
+            self._suspicion_policy, protect=(self.proc, self.spec.source)
+        )
 
     def _debug_check(self) -> None:
         """Run the full cross-module invariant suite (debug mode only)."""
@@ -331,7 +344,7 @@ class EfficientCSA(Estimator):
 
             check_csa_invariants(self)
 
-    # -- event hooks -------------------------------------------------------------
+    # == Sec 3: event hooks ========================================================
 
     def on_send(self, event: Event) -> HistoryPayload:
         if not event.is_send:
@@ -339,7 +352,7 @@ class EfficientCSA(Estimator):
         self._audit(event.lt)
         self._track_local(event)
         self.history.record_local(event)
-        self._ingest(event)
+        self._learn(event)
         payload, token = self.history.prepare_payload(event.dest)
         if not self.reliable:
             self._pending_tokens[event.eid] = token
@@ -360,21 +373,14 @@ class EfficientCSA(Estimator):
         if self.suspicion is not None:
             payload = self._screen_payload(sender, payload, event)
         new_events, new_flags = self.history.ingest_payload(sender, payload)
-        self._ingest_reported(new_events)
-        if self._retain_log:
-            # records the history re-buffered rather than learned (covered
-            # by an adopted frontier) never reach the event log; retain
-            # them separately so recovery can restore the forwarding buffer
-            new_ids = {e.eid for e in new_events}
-            for record in payload.records:
-                if (
-                    record.eid not in new_ids
-                    and record.eid not in self._log_index
-                    and record.eid not in self._rebuffer_log
-                ):
-                    self._rebuffer_log[record.eid] = record
+        # Figure 2 hands the reported events over in a topological order of
+        # the view; the receive itself comes after everything it reports
+        for reported in new_events:
+            self._learn(reported)
+        if self._log is not None:
+            self._log.note_forwarded(payload.records)
         self.history.record_local(event)
-        self._ingest(event)
+        self._learn(event)
         for flag in new_flags:
             self._apply_loss_flag(flag)
         self._maybe_rehabilitate()
@@ -384,17 +390,16 @@ class EfficientCSA(Estimator):
         self._audit(event.lt)
         self._track_local(event)
         self.history.record_local(event)
-        self._ingest(event)
+        self._learn(event)
         self._maybe_rehabilitate()
         self._debug_check()
 
     def on_delivery_confirmed(self, send_eid: EventId) -> None:
-        # these two hooks fire without a local event, so the audit anchors
-        # at the last local time (as estimate() does); a confirm or loss
-        # landing on corrupted state must recover first - recovery drops
-        # the pending token, so the confirm degrades to a no-op and the
-        # loss is recorded against the rebuilt history, both sound
-        self._audit(self._last_local.lt if self._last_local is not None else 0.0)
+        # a confirm or loss landing on corrupted state must recover first -
+        # recovery drops the pending token, so the confirm degrades to a
+        # no-op and the loss is recorded against the rebuilt history, both
+        # sound
+        self._audit()
         token = self._pending_tokens.pop(send_eid, None)
         if token is not None:
             self.history.confirm_delivery(token)
@@ -402,7 +407,7 @@ class EfficientCSA(Estimator):
 
     def on_loss_detected(self, send_eid: EventId) -> None:
         """Sec 3.3: locally detected loss of a message this processor sent."""
-        self._audit(self._last_local.lt if self._last_local is not None else 0.0)
+        self._audit()
         token = self._pending_tokens.pop(send_eid, None)
         if token is not None:
             self.history.abort_delivery(token)
@@ -410,307 +415,31 @@ class EfficientCSA(Estimator):
             self._apply_loss_flag(send_eid)
         self._debug_check()
 
-    def report_anomaly(
-        self, accused: ProcessorId, kind: str, at_lt: float, detail: str = ""
-    ) -> None:
-        """Feed an externally observed anomaly into the suspicion ledger.
+    def _local_lt(self) -> float:
+        return self._last_local.lt if self._last_local is not None else 0.0
 
-        Entry point for layers below the estimator - e.g. the runtime wire
-        codec attributing undecodable bytes to the claimed sender.  The
-        anomaly is recorded as a :class:`ValidationFailure` and blamed
-        exactly like a screening failure; no-op outside hardened mode
-        (without a suspicion ledger there is nowhere to put it).
+    # == Sec 3: one AGDP step per learned event ====================================
+
+    def _learn(self, event: Event) -> None:
+        """Feed one newly learned event - local or reported - to the graph layer.
+
+        Events must arrive in a topological order of the view; the history
+        protocol guarantees this for reported events and the hooks
+        interleave local events correctly.  All of Sec 3: observe the
+        event (Definition 3.1), insert it with its edges and kill what
+        ceased to be live (Figure 3), remember the latest source point.
+        A quarantining estimator takes :meth:`_insert_guarded` instead.
         """
-        if self.suspicion is None:
+        if self._log is not None:
+            self._log.append(event)
+        if self.degraded_mode:
+            self._insert_guarded(event, replay=False)
             return
-        self._audit(at_lt)
-        self.validation_failures.append(
-            ValidationFailure(kind=kind, accused=(accused,), detail=detail)
-        )
-        if self.suspicion.blame(accused, kind, at_lt, detail):
-            self._rebuild()
-        self._debug_check()
-
-    # -- dynamic membership: late-joiner bootstrap -----------------------------------
-
-    @property
-    def is_fresh(self) -> bool:
-        """Whether this estimator has neither observed nor adopted anything.
-
-        Only a fresh estimator may bootstrap: adopting over existing state
-        would forge continuity.  A restarted node with durable state is not
-        fresh - its :meth:`bootstrap_from` is a no-op returning ``False``,
-        which is exactly the at-most-once semantics the runtime handshake
-        needs (a retransmitted join answer must not re-apply).
-        """
-        return (
-            self._last_local is None
-            and self.live.events_observed == 0
-            and not self.live.processors
-            and not self._event_log
-            and self._bootstrap is None
-        )
-
-    def bootstrap_snapshot(self) -> BootstrapSnapshot:
-        """Export this estimator's handoff state for a late joiner.
-
-        Sound and complete by Lemmas 3.4/3.5: garbage collection preserves
-        exact distances between live points, and every future constraint is
-        incident only to live points, so the frontier + finite live-live
-        distances + loss flags are all a joiner needs (see
-        :mod:`repro.core.bootstrap`).  Call *after* recording the send
-        event of the handshake message, so the snapshot covers it.
-        """
-        if getattr(self.agdp, "source_only", False):
-            raise ProtocolError(
-                "the 'numpy-source-only' backend retains no pairwise "
-                "distances to hand off; sponsor with 'dict' or 'numpy'"
-            )
-        last = tuple(
-            (proc, seq, lt, is_send)
-            for proc, (seq, lt, is_send) in sorted(self.live.last_events().items())
-        )
-        undelivered = tuple(
-            (eid.proc, eid.seq, self.live.send_lt(eid))
-            for eid in sorted(self.live.undelivered_sends())
-        )
-        points = [p for p in sorted(self.live.live_points()) if p in self.agdp]
-        distances = []
-        for x in points:
-            for y in points:
-                if x == y:
-                    continue
-                w = self.agdp.distance(x, y)
-                if math.isfinite(w):
-                    distances.append((x.proc, x.seq, y.proc, y.seq, w))
-        return BootstrapSnapshot(
-            sponsor=self.proc,
-            last=last,
-            undelivered=undelivered,
-            known=tuple(sorted(self.history.knowledge_frontier().items())),
-            loss_flags=tuple(sorted(self.history.loss_flags)),
-            distances=tuple(distances),
-            source_rep=self._source_rep,
-        )
-
-    def bootstrap_from(self, snapshot: BootstrapSnapshot) -> bool:
-        """Adopt a sponsor's snapshot; returns ``False`` unless fresh.
-
-        On success the estimator behaves as if it had absorbed the
-        sponsor's entire view: the next receive (the handshake message
-        itself) attaches to the adopted live points and the first estimate
-        is already Theorem 2.1-optimal.  A snapshot whose distances are
-        internally inconsistent (corrupt or adversarial) is refused
-        wholesale - the estimator resets to fresh and returns ``False``.
-        """
-        if not self.is_fresh:
-            return False
-        if getattr(self.agdp, "source_only", False):
-            raise ProtocolError(
-                "the 'numpy-source-only' backend cannot bootstrap "
-                "(no pairwise distance storage); use 'dict' or 'numpy'"
-            )
-        sponsor = (
-            snapshot.sponsor if snapshot.sponsor in self.history.neighbors else None
-        )
-        try:
-            self.history.adopt_frontier(
-                snapshot.frontier(), snapshot.loss_flags, sponsor=sponsor
-            )
-            self._apply_snapshot(snapshot)
-        except (InconsistentSpecificationError, ProtocolError, ValueError):
-            self._reset_fresh()
-            return False
-        self._bootstrap = snapshot
-        if self._retain_log:
-            self._flag_log.update(dict.fromkeys(snapshot.loss_flags, 0))
-        return True
-
-    def _apply_snapshot(self, snapshot: BootstrapSnapshot) -> None:
-        """Load a snapshot into the live tracker and solver (fresh structures).
-
-        Shared by :meth:`bootstrap_from` and :meth:`_rebuild`; in hardened
-        replays, points claimed by currently excluded processors stay out of
-        the solver (their folded path contributions cannot be unfolded - the
-        snapshot is trusted sponsor state, eviction excises only direct
-        nodes).
-        """
-        self.live.adopt(snapshot.last, snapshot.undelivered, snapshot.loss_flags)
-        excluded = (
-            self.suspicion.is_excluded if self.suspicion is not None else lambda e: False
-        )
-        kept = [p for p in snapshot.live_points() if not excluded(p)]
-        for point in kept:
-            self.agdp.add_node(point)
-        in_agdp = set(kept)
-        for xp, xs, yp, ys, w in snapshot.distances:
-            x, y = EventId(xp, xs), EventId(yp, ys)
-            if x not in in_agdp or y not in in_agdp:
-                continue
-            try:
-                self.agdp.insert_edge(x, y, w)
-            except InconsistentSpecificationError:
-                if not self._replaying:
-                    raise  # bootstrap_from refuses the snapshot wholesale
-                # replay: quarantine silently, like logged-event replays
-        if snapshot.source_rep is not None and snapshot.source_rep in self.agdp:
-            self._source_rep = snapshot.source_rep
-
-    def _reset_fresh(self) -> None:
-        """Discard all state after a refused bootstrap (back to fresh)."""
-        self.history = HistoryModule(
-            self.proc,
-            self.spec.neighbors(self.proc),
-            reliable=self.reliable,
-            track_reports=self._track_reports,
-            gc_enabled=self._history_gc,
-        )
-        self.live = LiveTracker()
-        self.agdp = self._make_agdp()
-        self._source_rep = None
-        self._bootstrap = None
-
-    # -- self-stabilization: audit and recovery --------------------------------------
-
-    def self_check(self) -> bool:
-        """Cheap structural audit; ``True`` when state looks coherent."""
-        return self._find_corruption() is None
-
-    def _find_corruption(self) -> Optional[str]:
-        """O(#processors) cross-module invariant probe.
-
-        Detects the corruption classes of the churn fault model: a
-        scrambled history frontier (disagrees with the live tracker), a
-        poisoned distance matrix (nonzero diagonal at a live point, or a
-        lost source representative), and an invalid suspicion ledger
-        (negative or NaN scores).  Anything that *raises* during the probe
-        is corruption too.
-        """
-        try:
-            for proc in self.live.processors:
-                if self.history.known_seq(proc) != self.live.last_seq(proc):
-                    return (
-                        f"history frontier for {proc!r} disagrees with the "
-                        "live tracker"
-                    )
-            if self._source_rep is not None and self._source_rep not in self.agdp:
-                return "source representative missing from the distance solver"
-            for proc in self.live.processors:
-                last = self.live.last_event(proc)
-                if last is not None and last[0] in self.agdp:
-                    if self.agdp.distance(last[0], last[0]) != 0.0:
-                        return f"distance matrix diagonal poisoned at {last[0]}"
-            if self.suspicion is not None:
-                for proc, score in self.suspicion.scores.items():
-                    if not score >= 0.0:  # NaN fails this comparison too
-                        return f"suspicion ledger holds invalid score for {proc!r}"
-        except Exception as exc:
-            return f"structural audit raised: {exc}"
-        return None
-
-    def _audit(self, at_lt: float) -> None:
-        """Entry audit of every event hook (self-healing estimators only)."""
-        if not self.self_heal:
-            return
-        reason = self._find_corruption()
-        if reason is not None:
-            self._recover(at_lt, reason)
-
-    def _recover(self, at_lt: float, reason: str) -> None:
-        """Rebuild every subsystem from durable logs (self-stabilization).
-
-        The retained event log, loss-flag log, and bootstrap snapshot are
-        the ground truth; history, live tracker, solver, and suspicion
-        ledger are all re-derived from them, so recovery is *exact*: the
-        rebuilt state is bit-identical to a never-corrupted twin's (modulo
-        watermarks, which reset and merely cause re-shipping that receivers
-        dedup).  Unsettled delivery tokens are dropped - late confirms
-        become no-ops and the unconfirmed payloads are simply re-reported.
-        """
-        self.recoveries += 1
-        self.recovery_events.append(RecoveryEvent(at_lt=at_lt, reason=reason))
-        self.history = HistoryModule(
-            self.proc,
-            self.spec.neighbors(self.proc),
-            reliable=self.reliable,
-            track_reports=self._track_reports,
-            gc_enabled=self._history_gc,
-        )
-        if self._bootstrap is not None:
-            sponsor = (
-                self._bootstrap.sponsor
-                if self._bootstrap.sponsor in self.history.neighbors
-                else None
-            )
-            self.history.adopt_frontier(
-                self._bootstrap.frontier(),
-                self._bootstrap.loss_flags,
-                sponsor=sponsor,
-            )
-        # frontier-covered forwardables first: they causally precede every
-        # logged (post-bootstrap) event, so this is a valid learn order
-        self.history.adopt_events(self._rebuffer_log.values())
-        self.history.adopt_events(self._event_log)
-        for flag in sorted(self._flag_log):
-            self.history.record_loss(flag)
-        if self._suspicion_policy is not None:
-            self.suspicion = SuspicionTracker(
-                self._suspicion_policy, protect=(self.proc, self.spec.source)
-            )
-        self._pending_tokens.clear()
-        self._rebuild()
-
-    # -- core insertion ------------------------------------------------------------
-
-    def _ingest_reported(self, events: List[Event]) -> None:
-        """Insert a delivered payload's fresh records as one AGDP batch.
-
-        One payload of ``k`` events costs one :meth:`AGDP.step_batch` call
-        instead of ``k`` scalar passes.  The steps are handed over as a
-        generator, so each event's edges and kill-set are computed against
-        the live/AGDP state left by the *previous* step - interleaving,
-        counters, and failure points are identical to the scalar loop.
-
-        Hardened, degraded, and source-only estimators keep the scalar
-        path: those modes mutate blame/quarantine/anchor state mid-stream,
-        which the streamlined step generator does not model.
-        """
-        if (
-            self.suspicion is not None
-            or self.degraded_mode
-            or getattr(self.agdp, "source_only", False)
-        ):
-            for event in events:
-                self._ingest(event)
-            return
-        self.agdp.step_batch(self._reported_steps(events))
-
-    def _reported_steps(self, events: List[Event]):
-        """Yield ``(node, edges, kills)`` AGDP steps for reported events.
-
-        Lazy on purpose: :meth:`AGDP.step_batch` pulls the next step only
-        after applying the previous one, so even the state left behind by
-        a mid-payload failure matches the scalar loop.
-        """
-        step_of = self._step_of
-        source = self.spec.source
-        retain = self._retain_log and not self._replaying
-        for event in events:
-            eid = event.eid
-            if retain:
-                self._event_log.append(event)
-                self._log_index[eid] = event
-            edges, kills, _ = step_of(event)
-            if eid[0] == source:
-                self._source_rep = eid
-            yield eid, edges, kills
-
-    def _ingest(self, event: Event) -> None:
-        """Log (hardened/self-heal mode) and insert one event into the graph layer."""
-        if self._retain_log and not self._replaying:
-            self._event_log.append(event)
-            self._log_index[event.eid] = event
-        self._agdp_insert(event)
+        edges, kills, _ = self._step_of(event)
+        eid = event.eid
+        self.agdp.step(eid, edges, kills)
+        if eid[0] == self.spec.source:
+            self._source_rep = eid
 
     def _step_of(self, event: Event, hardened: bool = False):
         """Observe ``event`` and build its AGDP step: ``(edges, kills, send_lt)``.
@@ -765,32 +494,170 @@ class EfficientCSA(Estimator):
                 edges.append((send_eid, eid, observed - pair[1]))
         return edges, [k for k in dead if k in agdp], send_lt
 
-    def _agdp_insert(self, event: Event) -> None:
-        """One AGDP step: insert ``event`` with its incident edges, then kill.
+    def _apply_loss_flag(self, send_eid: EventId, replay: bool = False) -> None:
+        """Sec 3.3: un-live a lost send and collect what died with it."""
+        if self._log is not None and not replay:
+            self._log.flag(send_eid)
+        self._collect(self.live.flag_lost(send_eid))
 
-        Events must arrive in a topological order of the view; the history
-        protocol guarantees this for reported events and the caller
-        interleaves local events correctly.
+    def _collect(self, dead: Iterable[EventId]) -> None:
+        for victim in dead:
+            if victim in self.agdp:
+                self.agdp.kill(victim)
 
-        In hardened mode events of evicted (or excised-range) processors
-        still pass through the live tracker - continuity of the tracked
-        view must survive an eviction - but contribute no node and no
-        edges to the AGDP.
+    # == Sec 3: estimates ==========================================================
+
+    def estimate(self) -> ClockBound:
+        return self._read(self._own_point)
+
+    def estimate_of(self, proc: ProcessorId) -> ClockBound:
+        """Bounds on ``RT`` at the last *known* point of another processor.
+
+        The last known point of every processor is live, so the optimal
+        interval for it is directly available - this is how a monitoring
+        node can bound every peer's situation from its own view.
+        """
+        return self._read(self._point_of, proc)
+
+    def relative_estimate(
+        self, proc_a: ProcessorId, proc_b: ProcessorId
+    ) -> ClockBound:
+        """Optimal bounds on ``RT(a) - RT(b)`` at the two processors' last
+        known points (internal-synchronization-style output).
+
+        Theorem 2.1 applies to *any* pair of points, not just pairs with a
+        source point, and both processors' last known points are live, so
+        their distances sit in the AGDP matrix already:
+
+            ``RT(p_a) - RT(p_b) in [virt_del - d(p_b, p_a),
+                                    virt_del + d(p_a, p_b)]``.
+
+        This works even before any source information arrives - it is how
+        a system without access to standard time still bounds relative
+        offsets (cf. the internal-synchronization literature the paper
+        builds on).
+        """
+        return self._read(self._pair_of, proc_a, proc_b)
+
+    def _read(self, locate, *procs: ProcessorId) -> ClockBound:
+        """The one way out of the distance matrix.
+
+        ``locate(*procs)`` names the read as ``(p, q, offset)``, or
+        ``None`` when nothing trustworthy anchors it (unbounded).  A
+        self-healing estimator audits first - sampling can land between a
+        corruption and the next event hook, and a scrambled matrix must
+        never leak out as an exception or, worse, an unbacked interval -
+        and treats an empty interval, impossible for honest state, as
+        corruption the structural audit could not see.
+        """
+        self._audit()
+        lower, upper = self._endpoints(locate(*procs))
+        if lower > upper and self.self_heal:
+            self._recover(self._local_lt(), "estimate produced an empty bound")
+            lower, upper = self._endpoints(locate(*procs))
+        return ClockBound(lower, upper)
+
+    def _endpoints(self, where) -> Tuple[float, float]:
+        """Theorem 2.1 for the pair ``p, q``: ``offset + [-d(q, p), d(p, q)]``."""
+        if where is None:
+            return -math.inf, math.inf
+        p, q, offset = where
+        distance = self.agdp.distance
+        return offset - distance(q, p), offset + distance(p, q)
+
+    def _own_point(self):
+        if self._last_local is None or self._source_rep is None:
+            return None
+        return self._last_local.eid, self._source_rep, self._last_local.lt
+
+    def _last_point(self, proc: ProcessorId) -> Optional[Tuple[EventId, float]]:
+        # a latest claim that is excluded (evicted/excised) is not in the
+        # solver: nothing trustworthy anchors that processor's current clock
+        last = self.live.last_event(proc)
+        return last if last is not None and last[0] in self.agdp else None
+
+    def _point_of(self, proc: ProcessorId):
+        last = self._last_point(proc)
+        if last is None or self._source_rep is None:
+            return None
+        return last[0], self._source_rep, last[1]
+
+    def _pair_of(self, proc_a: ProcessorId, proc_b: ProcessorId):
+        last_a, last_b = self._last_point(proc_a), self._last_point(proc_b)
+        if last_a is None or last_b is None:
+            return None
+        return last_a[0], last_b[0], last_a[1] - last_b[1]
+
+    def stats(self) -> CSAStats:
+        return CSAStats(
+            max_live_points=self.live.max_live,
+            max_agdp_nodes=self.agdp.stats.max_nodes,
+            agdp_pair_updates=self.agdp.stats.pair_updates,
+            agdp_edges_inserted=self.agdp.stats.edges_inserted,
+            max_history_buffer=self.history.stats.max_buffer,
+            max_payload_records=self.history.stats.max_payload,
+            records_sent=self.history.stats.records_sent,
+            events_observed=self.live.events_observed,
+        )
+
+    # == extension: quarantine and blame (degraded_mode / suspicion) ===============
+
+    @property
+    def degraded(self) -> bool:
+        """Whether any constraint has been quarantined so far."""
+        return bool(self.diagnostics)
+
+    @property
+    def eviction_events(self):
+        """Suspicion state transitions so far (empty outside hardened mode)."""
+        return tuple(self.suspicion.events) if self.suspicion is not None else ()
+
+    def _insert_guarded(self, event: Event, replay: bool) -> None:
+        """The AGDP step of :meth:`_learn` for estimators that distrust input.
+
+        Degraded mode collects inconsistent constraints instead of
+        raising: the solver refuses each *before* writing anything, so the
+        matrix stays exact over the accepted ones and the rest of the step
+        lands.  In hardened mode events of evicted (or excised-range)
+        processors still pass through the live tracker - continuity of the
+        tracked view must survive an eviction - but contribute no node and
+        no edges to the AGDP.
+
+        A ``replay`` (:meth:`_rebuild`) takes the same decisions and stops
+        there: it records no diagnostic (the list stays cumulative) and
+        blames nobody.
         """
         eid = event.eid
-        hardened = self.suspicion is not None
-        excluded = hardened and self.suspicion.is_excluded(eid)
-        blames: List[Tuple[ProcessorId, str, str]] = []
-        if excluded:
+        suspicion = self.suspicion
+        refused: List[InconsistentSpecificationError] = []
+        if suspicion is not None and suspicion.is_excluded(eid):
             dead, _, send_lt = self.live.observe(event, lenient=True)
-            for victim in dead:
-                if victim in self.agdp:
-                    self.agdp.kill(victim)
+            self._collect(dead)
         else:
-            edges, kills, send_lt = self._step_of(event, hardened)
+            edges, kills, send_lt = self._step_of(event, suspicion is not None)
+            self.agdp.step(
+                eid, edges, kills, refused if self.degraded_mode else None
+            )
+            if eid[0] == self.spec.source:
+                self._source_rep = eid
+        if replay:
+            return
+        for error in refused:
+            x, y, _ = error.edge
+            self.diagnostics.append(
+                QuarantineDiagnostic(
+                    event=eid,
+                    edge=error.edge,
+                    # drift edges join a processor's consecutive events
+                    kind="drift" if x.proc == y.proc else "transit",
+                    reason=str(error),
+                )
+            )
+        if suspicion is None:
+            return
+        blames: List[Tuple[ProcessorId, str, str]] = []
         if (
-            hardened
-            and send_lt is None
+            send_lt is None
             and event.is_receive
             and self.live.knows(event.send_eid)
             and event.send_eid not in self.live.lost_flags
@@ -807,71 +674,29 @@ class EfficientCSA(Estimator):
                     "known but not an undelivered send",
                 )
             )
-        if excluded:
-            self._finish_insert(event, blames)
-            return
-        # degraded mode collects inconsistent constraints instead of raising:
-        # the solver refuses each *before* writing anything, so the matrix
-        # stays exact over the accepted ones and the rest of the step lands
-        refused: Optional[List[InconsistentSpecificationError]] = (
-            [] if self.degraded_mode else None
-        )
-        self.agdp.step(eid, edges, kills, refused)
-        for error in refused or ():
+        for error in refused:
             x, y, w = error.edge
-            if not self._replaying:
-                self.diagnostics.append(
-                    QuarantineDiagnostic(
-                        event=eid,
-                        edge=error.edge,
-                        # drift edges join a processor's consecutive events
-                        kind="drift" if x.proc == y.proc else "transit",
-                        reason=str(error),
+            for accused in sorted({x.proc, y.proc} - set(suspicion.protected)):
+                blames.append(
+                    (
+                        accused,
+                        "quarantine",
+                        f"constraint ({x}, {y}, {w:.4g}) closed a negative cycle",
                     )
                 )
-            if hardened:
-                for accused in sorted(
-                    {x.proc, y.proc} - set(self.suspicion.protected)
-                ):
-                    blames.append(
-                        (
-                            accused,
-                            "quarantine",
-                            f"constraint ({x}, {y}, {w:.4g}) closed a "
-                            "negative cycle",
-                        )
-                    )
-        if event.proc == self.spec.source:
-            self._source_rep = eid
-            if getattr(self.agdp, "source_only", False):
-                self.agdp.set_anchor(eid)
-        self._finish_insert(event, blames)
-
-    def _finish_insert(
-        self, event: Event, blames: List[Tuple[ProcessorId, str, str]]
-    ) -> None:
-        """Apply blame collected during an insertion, after it completed.
-
-        Deferred because an eviction rebuilds ``self.agdp``/``self.live``
-        in place; doing that mid-insertion would leave the step half
-        applied to the old structures.
-        """
-        if not blames or self.suspicion is None or self._replaying:
-            return
+        # blamed only now, after the step completed: an eviction rebuilds
+        # ``self.agdp``/``self.live`` in place, and doing that mid-insertion
+        # would leave the step half applied to the old structures
         evicted = False
         for proc, kind, detail in blames:
-            evicted |= self.suspicion.blame(proc, kind, event.lt, detail)
+            evicted |= suspicion.blame(proc, kind, event.lt, detail)
         if evicted:
             self._rebuild()
-
-    # -- hardened mode: screening, eviction, rehabilitation -------------------------
 
     def _screen_payload(
         self, sender: ProcessorId, payload: HistoryPayload, event: Event
     ) -> HistoryPayload:
         """Validate an incoming payload; blame the accused; return it sanitized."""
-        if not isinstance(payload, HistoryPayload):  # pragma: no cover - guarded above
-            raise TypeError("hardened CSA screens HistoryPayloads only")
         report = validate_payload(
             sender,
             payload,
@@ -898,39 +723,26 @@ class EfficientCSA(Estimator):
             self._rebuild()
         return report.sanitized
 
-    def _rebuild(self) -> None:
-        """Re-derive tracker and solver from the event log, minus the evicted.
+    def report_anomaly(
+        self, accused: ProcessorId, kind: str, at_lt: float, detail: str = ""
+    ) -> None:
+        """Feed an externally observed anomaly into the suspicion ledger.
 
-        The AGDP cannot remove a node's constraints once inserted, so
-        eviction replays history: a fresh live tracker and solver consume
-        the full event log with the evicted processors' events excluded.
-        Sound by Theorem 2.1 - the surviving constraints are a subset of
-        genuine ones - and exact over what remains.  Each loss flag is
-        applied where the live run applied it (its recorded position in
-        the event log), so the replay never holds more live points than
-        the run did and a delivery that came after its flag stays without
-        transit edges.  Quarantine decisions taken during replay are not
-        re-recorded (the diagnostics list stays cumulative) and produce no
-        fresh blame.
+        Entry point for layers below the estimator - e.g. the runtime wire
+        codec attributing undecodable bytes to the claimed sender.  The
+        anomaly is recorded as a :class:`ValidationFailure` and blamed
+        exactly like a screening failure; no-op outside hardened mode
+        (without a suspicion ledger there is nowhere to put it).
         """
-        self._replaying = True
-        try:
-            self.live = LiveTracker()
-            self.agdp = self._make_agdp()
-            self._source_rep = None
-            if self._bootstrap is not None:
-                self._apply_snapshot(self._bootstrap)
-            flags_at: Dict[int, List[EventId]] = {}
-            for flag, position in self._flag_log.items():
-                flags_at.setdefault(position, []).append(flag)
-            for flag in flags_at.get(0, ()):
-                self._apply_loss_flag(flag)
-            for position, event in enumerate(self._event_log, 1):
-                self._agdp_insert(event)
-                for flag in flags_at.get(position, ()):
-                    self._apply_loss_flag(flag)
-        finally:
-            self._replaying = False
+        if self.suspicion is None:
+            return
+        self._audit(at_lt)
+        self.validation_failures.append(
+            ValidationFailure(kind=kind, accused=(accused,), detail=detail)
+        )
+        if self.suspicion.blame(accused, kind, at_lt, detail):
+            self._rebuild()
+        self._debug_check()
 
     def _maybe_rehabilitate(self) -> None:
         """Give evicted processors their way back after a clean window.
@@ -949,110 +761,219 @@ class EfficientCSA(Estimator):
                 proc, now, frontier=self.history.known_seq(proc)
             )
 
-    def _apply_loss_flag(self, send_eid: EventId) -> None:
-        if self._retain_log and not self._replaying:
-            self._flag_log.setdefault(send_eid, len(self._event_log))
-        for victim in self.live.flag_lost(send_eid):
-            if victim in self.agdp:
-                self.agdp.kill(victim)
+    # == extension: audit and rebuild (self_heal; evictions rebuild too) ===========
 
-    # -- estimates ----------------------------------------------------------------
+    def self_check(self) -> bool:
+        """Cheap structural audit; ``True`` when state looks coherent."""
+        return self._find_corruption() is None
 
-    def estimate(self) -> ClockBound:
-        if self.self_heal:
-            # reads audit too: sampling can land between the corruption and
-            # the next event hook, and a scrambled matrix must never leak
-            # out as an exception (or worse, an unsound interval)
-            at_lt = self._last_local.lt if self._last_local is not None else 0.0
-            self._audit(at_lt)
-            lower, upper = self._estimate_endpoints()
-            if lower > upper:
-                # an empty interval is impossible for honest state, so this
-                # is corruption the structural audit could not see
-                self._recover(at_lt, "estimate produced an empty bound")
-                lower, upper = self._estimate_endpoints()
-            return ClockBound(lower, upper)
-        lower, upper = self._estimate_endpoints()
-        return ClockBound(lower, upper)
+    def _find_corruption(self) -> Optional[str]:
+        """O(#processors) cross-module invariant probe.
 
-    def _estimate_endpoints(self) -> Tuple[float, float]:
-        if self._last_local is None or self._source_rep is None:
-            return -math.inf, math.inf
-        p = self._last_local.eid
-        sp = self._source_rep
-        lt_p = self._last_local.lt
-        d_p_sp = self.agdp.distance(p, sp)
-        d_sp_p = self.agdp.distance(sp, p)
-        lower = -math.inf if math.isinf(d_sp_p) else lt_p - d_sp_p
-        upper = math.inf if math.isinf(d_p_sp) else lt_p + d_p_sp
-        return lower, upper
-
-    def estimate_of(self, proc: ProcessorId) -> ClockBound:
-        """Bounds on ``RT`` at the last *known* point of another processor.
-
-        The last known point of every processor is live, so the optimal
-        interval for it is directly available - this is how a monitoring
-        node can bound every peer's situation from its own view.
+        Detects the corruption classes of the churn fault model: a
+        scrambled history frontier (disagrees with the live tracker), a
+        poisoned distance matrix (nonzero diagonal at a live point, or a
+        lost source representative), and an invalid suspicion ledger
+        (negative or NaN scores).  Anything that *raises* during the probe
+        is corruption too.
         """
-        if self._source_rep is None:
-            return ClockBound.unbounded()
-        last = self.live.last_event(proc)
-        if last is None:
-            return ClockBound.unbounded()
-        eid, lt = last
-        if eid not in self.agdp:
-            # the processor's latest claim is excluded (evicted/excised);
-            # nothing trustworthy anchors its current clock
-            return ClockBound.unbounded()
-        d_p_sp = self.agdp.distance(eid, self._source_rep)
-        d_sp_p = self.agdp.distance(self._source_rep, eid)
-        lower = -math.inf if math.isinf(d_sp_p) else lt - d_sp_p
-        upper = math.inf if math.isinf(d_p_sp) else lt + d_p_sp
-        return ClockBound(lower, upper)
+        try:
+            for proc in self.live.processors:
+                if self.history.known_seq(proc) != self.live.last_seq(proc):
+                    return (
+                        f"history frontier for {proc!r} disagrees with the "
+                        "live tracker"
+                    )
+            if self._source_rep is not None and self._source_rep not in self.agdp:
+                return "source representative missing from the distance solver"
+            for proc in self.live.processors:
+                last = self.live.last_event(proc)
+                if last is not None and last[0] in self.agdp:
+                    if self.agdp.distance(last[0], last[0]) != 0.0:
+                        return f"distance matrix diagonal poisoned at {last[0]}"
+            if self.suspicion is not None:
+                for proc, score in self.suspicion.scores.items():
+                    if not score >= 0.0:  # NaN fails this comparison too
+                        return f"suspicion ledger holds invalid score for {proc!r}"
+        except Exception as exc:
+            return f"structural audit raised: {exc}"
+        return None
 
-    def relative_estimate(
-        self, proc_a: ProcessorId, proc_b: ProcessorId
-    ) -> ClockBound:
-        """Optimal bounds on ``RT(a) - RT(b)`` at the two processors' last
-        known points (internal-synchronization-style output).
+    def _audit(self, at_lt: Optional[float] = None) -> None:
+        """Entry audit of every hook and read (self-healing estimators only);
+        without a local event the record anchors at the last local time."""
+        if not self.self_heal:
+            return
+        reason = self._find_corruption()
+        if reason is not None:
+            self._recover(self._local_lt() if at_lt is None else at_lt, reason)
 
-        Theorem 2.1 applies to *any* pair of points, not just pairs with a
-        source point, and both processors' last known points are live, so
-        their distances sit in the AGDP matrix already:
+    def _recover(self, at_lt: float, reason: str) -> None:
+        """Rebuild every subsystem from the replay log (self-stabilization).
 
-            ``RT(p_a) - RT(p_b) in [virt_del - d(p_b, p_a),
-                                    virt_del + d(p_a, p_b)]``.
-
-        This works even before any source information arrives - it is how
-        a system without access to standard time still bounds relative
-        offsets (cf. the internal-synchronization literature the paper
-        builds on).
+        The log is the ground truth; history, suspicion ledger, live
+        tracker and solver are all re-derived from it, so recovery is
+        *exact*: the rebuilt state is bit-identical to a never-corrupted
+        twin's (modulo watermarks, which reset and merely cause
+        re-shipping that receivers dedup).  Unsettled delivery tokens are
+        dropped - late confirms become no-ops and the unconfirmed payloads
+        are simply re-reported.
         """
-        last_a = self.live.last_event(proc_a)
-        last_b = self.live.last_event(proc_b)
-        if last_a is None or last_b is None:
-            return ClockBound.unbounded()
-        eid_a, lt_a = last_a
-        eid_b, lt_b = last_b
-        if eid_a not in self.agdp or eid_b not in self.agdp:
-            return ClockBound.unbounded()
-        virt_del = lt_a - lt_b
-        d_ab = self.agdp.distance(eid_a, eid_b)
-        d_ba = self.agdp.distance(eid_b, eid_a)
-        lower = -math.inf if math.isinf(d_ba) else virt_del - d_ba
-        upper = math.inf if math.isinf(d_ab) else virt_del + d_ab
-        return ClockBound(lower, upper)
+        self.recoveries += 1
+        self.recovery_events.append(RecoveryEvent(at_lt=at_lt, reason=reason))
+        log = self._log
+        self.history = self._make_history()
+        if log.snapshot is not None:
+            self._adopt_frontier(log.snapshot)
+        # frontier-covered forwardables first: they causally precede every
+        # logged (post-bootstrap) event, so this is a valid learn order
+        self.history.adopt_events(log.forwarded.values())
+        self.history.adopt_events(log.events)
+        for flag in log.flags:
+            self.history.record_loss(flag)
+        self.suspicion = self._make_ledger()
+        self._pending_tokens.clear()
+        self._rebuild()
 
-    # -- accounting ----------------------------------------------------------------
+    def _rebuild(self) -> None:
+        """Re-derive tracker and solver from the replay log, minus the evicted.
 
-    def stats(self) -> CSAStats:
-        return CSAStats(
-            max_live_points=self.live.max_live,
-            max_agdp_nodes=self.agdp.stats.max_nodes,
-            agdp_pair_updates=self.agdp.stats.pair_updates,
-            agdp_edges_inserted=self.agdp.stats.edges_inserted,
-            max_history_buffer=self.history.stats.max_buffer,
-            max_payload_records=self.history.stats.max_payload,
-            records_sent=self.history.stats.records_sent,
-            events_observed=self.live.events_observed,
+        A fresh live tracker and solver take the snapshot and then the
+        log's events and loss flags in the order the run applied them.
+        Sound by Theorem 2.1 - the surviving constraints are a subset of
+        genuine ones - and exact over what remains.
+        """
+        self._fresh_graph()
+        log = self._log
+        if log.snapshot is not None:
+            self._apply_snapshot(log.snapshot, replay=True)
+        for item in log.replay():
+            if isinstance(item, Event):
+                self._insert_guarded(item, replay=True)
+            else:
+                self._apply_loss_flag(item, replay=True)
+
+    def _fresh_graph(self) -> None:
+        self.live = LiveTracker()
+        self.agdp = self._make_agdp()
+        #: latest known event of the source processor (the AGDP query anchor)
+        self._source_rep: Optional[EventId] = None
+
+    # == extension: sponsor bootstrap (late joiners) ===============================
+
+    @property
+    def is_fresh(self) -> bool:
+        """Whether this estimator has neither observed nor adopted anything.
+
+        Only a fresh estimator may bootstrap: adopting over existing state
+        would forge continuity.  A restarted node with durable state is not
+        fresh - its :meth:`bootstrap_from` is a no-op returning ``False``,
+        which is exactly the at-most-once semantics the runtime handshake
+        needs (a retransmitted join answer must not re-apply).
+        """
+        log = self._log
+        return (
+            self._last_local is None
+            and self.live.events_observed == 0
+            and not self.live.processors
+            and (log is None or (not log.events and log.snapshot is None))
         )
+
+    def bootstrap_snapshot(self) -> BootstrapSnapshot:
+        """Export this estimator's handoff state for a late joiner.
+
+        Sound and complete by Lemmas 3.4/3.5: garbage collection preserves
+        exact distances between live points, and every future constraint is
+        incident only to live points, so the frontier + finite live-live
+        distances + loss flags are all a joiner needs (see
+        :mod:`repro.core.bootstrap`).  Call *after* recording the send
+        event of the handshake message, so the snapshot covers it.
+        """
+        last = tuple(
+            (proc, seq, lt, is_send)
+            for proc, (seq, lt, is_send) in sorted(self.live.last_events().items())
+        )
+        undelivered = tuple(
+            (eid.proc, eid.seq, self.live.send_lt(eid))
+            for eid in sorted(self.live.undelivered_sends())
+        )
+        points = [p for p in sorted(self.live.live_points()) if p in self.agdp]
+        distances = []
+        for x in points:
+            for y in points:
+                if x == y:
+                    continue
+                w = self.agdp.distance(x, y)
+                if math.isfinite(w):
+                    distances.append((x.proc, x.seq, y.proc, y.seq, w))
+        return BootstrapSnapshot(
+            sponsor=self.proc,
+            last=last,
+            undelivered=undelivered,
+            known=tuple(sorted(self.history.knowledge_frontier().items())),
+            loss_flags=tuple(sorted(self.history.loss_flags)),
+            distances=tuple(distances),
+            source_rep=self._source_rep,
+        )
+
+    def bootstrap_from(self, snapshot: BootstrapSnapshot) -> bool:
+        """Adopt a sponsor's snapshot; returns ``False`` unless fresh.
+
+        On success the estimator behaves as if it had absorbed the
+        sponsor's entire view: the next receive (the handshake message
+        itself) attaches to the adopted live points and the first estimate
+        is already Theorem 2.1-optimal.  A snapshot whose distances are
+        internally inconsistent (corrupt or adversarial) is refused
+        wholesale - the estimator resets to fresh and returns ``False``.
+        """
+        if not self.is_fresh:
+            return False
+        try:
+            self._adopt_frontier(snapshot)
+            self._apply_snapshot(snapshot, replay=False)
+        except (InconsistentSpecificationError, ProtocolError, ValueError):
+            self.history = self._make_history()
+            self._fresh_graph()
+            return False
+        if self._log is not None:
+            self._log.adopt(snapshot)
+        return True
+
+    def _adopt_frontier(self, snapshot: BootstrapSnapshot) -> None:
+        """Teach a fresh history module what the snapshot's sponsor knew."""
+        sponsor = (
+            snapshot.sponsor if snapshot.sponsor in self.history.neighbors else None
+        )
+        self.history.adopt_frontier(
+            snapshot.frontier(), snapshot.loss_flags, sponsor=sponsor
+        )
+
+    def _apply_snapshot(self, snapshot: BootstrapSnapshot, replay: bool) -> None:
+        """Load a snapshot into a fresh live tracker and solver.
+
+        An inconsistent distance raises (:meth:`bootstrap_from` refuses the
+        snapshot wholesale) unless this is a ``replay``, which quarantines
+        it silently like a logged event's.  In hardened replays, points
+        claimed by currently excluded processors stay out of the solver
+        (their folded path contributions cannot be unfolded - the snapshot
+        is trusted sponsor state, eviction excises only direct nodes).
+        """
+        self.live.adopt(snapshot.last, snapshot.undelivered, snapshot.loss_flags)
+        excluded = (
+            self.suspicion.is_excluded if self.suspicion is not None else lambda e: False
+        )
+        kept = [p for p in snapshot.live_points() if not excluded(p)]
+        for point in kept:
+            self.agdp.add_node(point)
+        in_agdp = set(kept)
+        for xp, xs, yp, ys, w in snapshot.distances:
+            x, y = EventId(xp, xs), EventId(yp, ys)
+            if x not in in_agdp or y not in in_agdp:
+                continue
+            try:
+                self.agdp.insert_edge(x, y, w)
+            except InconsistentSpecificationError:
+                if not replay:
+                    raise
+        if snapshot.source_rep is not None and snapshot.source_rep in self.agdp:
+            self._source_rep = snapshot.source_rep

@@ -48,11 +48,6 @@ def steady_state_agdp(
         from ..core.agdp_numpy import NumpyAGDP
 
         agdp = NumpyAGDP(source=("n", 0), gc_enabled=gc_enabled)
-    elif backend == "numpy-source-only":
-        from ..core.agdp_numpy import NumpyAGDP
-
-        # anchored at the immortal source node ("n", 0)
-        agdp = NumpyAGDP(source=("n", 0), gc_enabled=gc_enabled, source_only=True)
     else:
         raise ValueError(f"unknown AGDP backend {backend!r}")
     pool: List[tuple] = [("n", 0)]

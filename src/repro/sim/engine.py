@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.csa_base import Estimator
-from ..core.errors import ProtocolError, SimulationError
+from ..core.errors import SimulationError
 from ..core.events import Event, EventId, EventKind, ProcessorId
 from .clock import ClockModel
 from .faults import ActiveFaults, FaultPlan, RetransmitPolicy, scramble_estimator
@@ -556,11 +556,7 @@ class Simulation:
             adopt_fn = getattr(estimator, "bootstrap_from", None)
             if snap_fn is None or adopt_fn is None:
                 continue
-            try:
-                snapshot = snap_fn()
-            except ProtocolError:
-                continue  # source-only backends hold no pairwise distances
-            if adopt_fn(snapshot):
+            if adopt_fn(snap_fn()):
                 bootstrapped = True
         self.faults.injected[
             "joins_bootstrapped" if bootstrapped else "joins_cold"

@@ -374,10 +374,7 @@ def _scramble_agdp(agdp, rng: random.Random) -> bool:
                     row[y] += rng.uniform(-2.0, 2.0)
             row[x] = rng.uniform(0.5, 3.0)  # nonzero diagonal: the detector
         return True
-    matrix = getattr(agdp, "_matrix", None)
-    if matrix is None:
-        return False  # source-only backend keeps no matrix to scramble
-    n = agdp._n
+    matrix, n = agdp._matrix, agdp._n
     for i in range(n):
         for j in range(n):
             if i == j:

@@ -12,7 +12,6 @@ from repro.core import (
     EfficientCSA,
     InconsistentSpecificationError,
     NumpyAGDP,
-    SuspicionPolicy,
 )
 from repro.sim import run_workload, standard_network, topologies
 from repro.sim.workloads import RandomTraffic
@@ -204,100 +203,6 @@ def test_stats_parity_across_backends(steps):
         assert getattr(np_agdp.stats, field) == getattr(dict_agdp.stats, field), field
 
 
-class TestSourceOnlyMode:
-    @settings(max_examples=60, deadline=None)
-    @given(agdp_scripts())
-    def test_anchor_distances_match_dict(self, steps):
-        dict_agdp = AGDP(source="s")
-        so = NumpyAGDP(source="s", source_only=True)
-        live = {"s"}
-        for node, edges, kills in steps:
-            dict_agdp.step(node, edges, kills)
-            so.step(node, edges, kills)
-            live.add(node)
-            live -= set(kills)
-            assert so.nodes == dict_agdp.nodes
-            for x in live:
-                for a, b in (
-                    (dict_agdp.distance("s", x), so.distance("s", x)),
-                    (dict_agdp.distance(x, "s"), so.distance(x, "s")),
-                ):
-                    if math.isinf(a):
-                        assert math.isinf(b)
-                    else:
-                        assert b == pytest.approx(a, abs=1e-9)
-
-    def test_paths_through_dead_nodes_survive(self):
-        """Lemma 3.4: killing a relay must not lose the distances it routed."""
-        so = NumpyAGDP(source="s", source_only=True)
-        dict_agdp = AGDP(source="s")
-        for agdp in (so, dict_agdp):
-            agdp.step("a", [("s", "a", 1.0), ("a", "s", 1.0)])
-            agdp.step("b", [("a", "b", 2.0), ("b", "a", 2.0)], kills=["a"])
-            agdp.step("c", [("b", "c", 4.0)])
-        assert so.distance("s", "c") == pytest.approx(dict_agdp.distance("s", "c"))
-        assert so.distance("s", "c") == pytest.approx(7.0)
-
-    def test_re_anchoring(self):
-        so = NumpyAGDP(source="s", source_only=True)
-        dict_agdp = AGDP(source="s")
-        for agdp in (so, dict_agdp):
-            agdp.step("a", [("s", "a", 1.0), ("a", "s", 1.5)])
-            agdp.step("b", [("a", "b", 2.0), ("b", "a", 2.5)])
-        assert so.anchor == "s"
-        so.set_anchor("b")
-        assert so.anchor == "b"
-        for x in ("s", "a", "b"):
-            assert so.distance("b", x) == pytest.approx(dict_agdp.distance("b", x))
-            assert so.distance(x, "b") == pytest.approx(dict_agdp.distance(x, "b"))
-
-    def test_query_surface_errors(self):
-        so = NumpyAGDP(source="s", source_only=True)
-        so.step("a", [("s", "a", 1.0)])
-        so.step("b", [("a", "b", 1.0)])
-        # anchor-incident pairs and x == y answer; anything else refuses
-        assert so.distance("s", "b") == pytest.approx(2.0)
-        assert so.distance("a", "a") == 0.0
-        with pytest.raises(ValueError):
-            so.distance("a", "b")
-        with pytest.raises(KeyError):
-            so.distance("s", "ghost")
-        with pytest.raises(ValueError):
-            so.distances_from("a")
-        with pytest.raises(KeyError):
-            so.distances_to("ghost")
-        with pytest.raises(KeyError):
-            so.set_anchor("ghost")
-        dense = NumpyAGDP(source="s")
-        with pytest.raises(ValueError):
-            dense.set_anchor("s")
-        assert dense.anchor is None
-
-    def test_negative_cycle_through_anchor_rejected(self):
-        so = NumpyAGDP(source="s", source_only=True)
-        so.step("a", [("s", "a", 1.0), ("a", "s", 1.0)])
-        with pytest.raises(InconsistentSpecificationError):
-            so.insert_edge("a", "s", -2.0)
-
-    def test_negative_cycle_off_anchor_detected_by_budget(self):
-        """A negative cycle not incident to the anchor is still caught -
-        by the relaxation budget, after the adjacency mutated (the reason
-        degraded mode cannot use this backend)."""
-        so = NumpyAGDP(source="s", source_only=True)
-        so.step("a", [("s", "a", 1.0)])
-        so.step("b", [("a", "b", 1.0)])
-        with pytest.raises(InconsistentSpecificationError):
-            so.insert_edge("b", "a", -2.0)
-
-    def test_space_accounting(self):
-        so = NumpyAGDP(source="s", source_only=True)
-        so.step("a", [("s", "a", 1.0), ("a", "s", 1.0)])
-        assert so.matrix_size() == 2 * 2  # two vectors over {s, a}
-        assert so.edge_space() == 4  # two directed edges, in+out lists
-        dense = NumpyAGDP(source="s")
-        assert dense.edge_space() == 0
-
-
 class TestBackendInCSA:
     def test_estimates_identical_across_backends(self):
         names, links = topologies.ring(5)
@@ -308,9 +213,6 @@ class TestBackendInCSA:
             {
                 "dict": lambda p, s: EfficientCSA(p, s, agdp_backend="dict"),
                 "numpy": lambda p, s: EfficientCSA(p, s, agdp_backend="numpy"),
-                "source-only": lambda p, s: EfficientCSA(
-                    p, s, agdp_backend="numpy-source-only"
-                ),
             },
             duration=40.0,
             seed=21,
@@ -319,35 +221,20 @@ class TestBackendInCSA:
         assert result.soundness_violations() == []
         for proc in names:
             a = result.sim.estimator(proc, "dict").estimate()
-            for other in ("numpy", "source-only"):
-                b = result.sim.estimator(proc, other).estimate()
-                if not (a.is_bounded and b.is_bounded):
-                    assert a.lower == b.lower and a.upper == b.upper
-                    continue
-                assert b.lower == pytest.approx(a.lower, abs=1e-9)
-                assert b.upper == pytest.approx(a.upper, abs=1e-9)
+            b = result.sim.estimator(proc, "numpy").estimate()
+            if not (a.is_bounded and b.is_bounded):
+                assert a.lower == b.lower and a.upper == b.upper
+                continue
+            assert b.lower == pytest.approx(a.lower, abs=1e-9)
+            assert b.upper == pytest.approx(a.upper, abs=1e-9)
 
     def test_unknown_backend_rejected(self):
+        """At construction, naming the two backends there are - the retired
+        source-only one is as unknown as any other name."""
         names, links = topologies.line(2)
         network = standard_network(names, links, seed=1)
-        with pytest.raises(ValueError):
-            EfficientCSA("p1", network.spec, agdp_backend="fortran")
-
-    def test_source_only_rejects_degraded_and_hardened(self):
-        """No pre-mutation inconsistency detection => no quarantine modes."""
-        names, links = topologies.line(2)
-        network = standard_network(names, links, seed=1)
-        with pytest.raises(ValueError):
-            EfficientCSA(
-                "p1",
-                network.spec,
-                agdp_backend="numpy-source-only",
-                degraded_mode=True,
-            )
-        with pytest.raises(ValueError):
-            EfficientCSA(
-                "p1",
-                network.spec,
-                agdp_backend="numpy-source-only",
-                suspicion=SuspicionPolicy(),
-            )
+        for backend in ("fortran", "numpy-source-only"):
+            with pytest.raises(ValueError, match="'dict' or 'numpy'"):
+                EfficientCSA("p1", network.spec, agdp_backend=backend)
+        with pytest.raises(TypeError):
+            NumpyAGDP(source_only=True)

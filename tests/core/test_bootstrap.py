@@ -14,7 +14,6 @@ import pytest
 
 from repro.core import EfficientCSA
 from repro.core.bootstrap import BootstrapSnapshot
-from repro.core.errors import ProtocolError
 from repro.core.specs import DriftSpec, SystemSpec, TransitSpec
 
 from ..conftest import recv, send
@@ -117,14 +116,6 @@ class TestSnapshotHandoff:
         # the refusal resets to fresh: a good snapshot still adopts
         assert joiner.is_fresh
         assert joiner.bootstrap_from(snapshot)
-
-    def test_source_only_backend_cannot_sponsor_or_boot(self):
-        _s2, _payload2, snapshot = handshake(self.spec, self.sponsor)
-        so = EfficientCSA("b", self.spec, agdp_backend="numpy-source-only")
-        with pytest.raises(ProtocolError):
-            so.bootstrap_snapshot()
-        with pytest.raises(ProtocolError):
-            so.bootstrap_from(snapshot)
 
 
 class TestSnapshotCodec:

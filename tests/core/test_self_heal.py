@@ -14,6 +14,7 @@ import random
 import pytest
 
 from repro.core import EfficientCSA
+from repro.core.csa import ReplayLog
 from repro.core.specs import DriftSpec, SystemSpec, TransitSpec
 from repro.sim.faults import CORRUPTION_SCOPES, scramble_estimator
 from repro.core.csa_base import SuspicionPolicy
@@ -80,15 +81,27 @@ def test_next_event_hook_recovers_exactly(scope):
     assert victim_ids >= twin_ids
 
 
+#: every way out of the distance matrix
+READS = {
+    "estimate": lambda est: est.estimate(),
+    "estimate_of": lambda est: est.estimate_of("src"),
+    "relative_estimate": lambda est: est.relative_estimate("a", "src"),
+}
+
+
 @pytest.mark.parametrize("scope", CORRUPTION_SCOPES)
 def test_read_path_audits_too(scope):
-    """Sampling between the scramble and the next event must self-heal."""
-    victim, twin = healing_pair()
-    assert scramble_estimator(victim, scope, random.Random(11))
-    bound = victim.estimate()  # no event hook ran in between
-    assert victim.recoveries == 1
-    assert bound.lower == pytest.approx(twin.estimate().lower)
-    assert bound.upper == pytest.approx(twin.estimate().upper)
+    """Sampling between the scramble and the next event must self-heal,
+    whichever read does the sampling: it raises nothing, costs exactly one
+    recovery, and returns what the never-corrupted twin returns."""
+    for name, read in READS.items():
+        victim, twin = healing_pair()
+        assert scramble_estimator(victim, scope, random.Random(11))
+        bound = read(victim)  # no event hook ran in between
+        assert victim.recoveries == 1, name
+        assert bound.is_bounded, name
+        assert bound.lower == pytest.approx(read(twin).lower), name
+        assert bound.upper == pytest.approx(read(twin).upper), name
 
 
 def test_estimate_of_matches_twin_after_recovery():
@@ -219,3 +232,34 @@ def test_rebuild_applies_each_loss_flag_where_the_run_did(suspicion):
         assert victim.estimate_of(proc) == twin.estimate_of(proc)
     assert victim.estimate() == twin.estimate()
     assert victim.estimate().is_bounded
+
+
+def test_replay_log_orders_flags_where_the_run_applied_them():
+    from repro.core.bootstrap import BootstrapSnapshot
+    from repro.core.events import EventId
+
+    log = ReplayLog()
+    adopted, early, late = EventId("src", 0), EventId("a", 1), EventId("a", 3)
+    log.adopt(
+        BootstrapSnapshot(
+            sponsor="src", last=(), undelivered=(), known=(),
+            loss_flags=(adopted,), distances=(), source_rep=None,
+        )
+    )
+    events = [make_event("a", seq, 10.0 + seq) for seq in range(4)]
+    log.append(events[0])
+    log.append(events[1])
+    log.flag(early)
+    log.append(events[2])
+    log.flag(early)  # a re-flag keeps the first position
+    log.append(events[3])
+    log.flag(late)
+    assert list(log.replay()) == [
+        adopted, events[0], events[1], early, events[2], events[3], late
+    ]
+    assert log.index[events[2].eid] is events[2]
+    # only records that were neither learned nor retained before are kept
+    covered, again = make_event("b", 0, 5.0), make_event("b", 0, 5.0)
+    log.note_forwarded([events[1], covered, again])
+    assert list(log.forwarded.values()) == [covered]
+    assert list(log.replay())[1:3] == events[:2]  # forwarded never replays

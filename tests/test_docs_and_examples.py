@@ -90,6 +90,33 @@ def test_documented_names_exist(doc):
     assert dangling == [], f"{doc} names nothing in the source defines: {sorted(set(dangling))}"
 
 
+def test_retired_names_stay_retired():
+    """The source-only backend and the estimator's insertion fork are gone.
+
+    A later change must not half-restore either: no code, example, micro
+    benchmark or API doc may name them again.  docs/PERFORMANCE.md ("Tried
+    and dropped") is the one place that still describes the backend;
+    CHANGES.md and ROADMAP.md are history.
+    """
+    import re
+
+    retired = re.compile(
+        r"source.only|set_anchor|_replaying|_retain_log|_reported_steps|_ingest_reported",
+        re.IGNORECASE,
+    )
+    root = pathlib.Path(__file__).resolve().parent.parent
+    files = [root / "README.md", root / "docs" / "API.md"]
+    for folder in ("src", "benchmarks", "examples"):
+        files += sorted((root / folder).rglob("*.py"))
+    hits = [
+        f"{path.relative_to(root)}:{number}: {line.strip()}"
+        for path in files
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if retired.search(line)
+    ]
+    assert hits == []
+
+
 def test_runtime_frame_field_table_is_the_schema():
     """``docs/RUNTIME.md``'s "Frame fields" tables are ``FRAME_SCHEMA``.
 
