@@ -7,7 +7,7 @@ PYTHON ?= python
 # `make clean` removes it.  Only BENCH_core.json lives at the root.
 BUILD := build
 
-.PHONY: install test bench bench-json bench-compare bench-refresh bench-e2e bench-layers bench-ab profile experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
+.PHONY: install test bench bench-json bench-compare bench-refresh bench-e2e bench-layers bench-ab profile growth experiments experiments-quick chaos chaos-byz churn examples fuzz fuzz-long rt-demo rt-smoke wire-smoke serve-demo loadtest serve-smoke strata-demo hierarchy-smoke clean
 
 # relative slowdown tolerated by the perf gate before it fails.  0.75
 # accommodates CPU-throttled/shared dev machines (observed run-to-run
@@ -78,6 +78,13 @@ bench-ab:
 profile:
 	@test -n "$(WORKLOAD)" || { echo "usage: make profile WORKLOAD=<sim workload>"; exit 2; }
 	$(PYTHON) scripts/profile_workload.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP))
+
+# `make growth [SCALES="1 2 4"] [SEED=0]`: the hardened churn scenario at
+# several run lengths - log length, events replayed and ms per recovery,
+# first post-recovery payload, max payload, RSS; fails when what a
+# recovery replays grows with the run
+growth:
+	$(PYTHON) scripts/recovery_growth.py $(if $(SCALES),--scales $(SCALES)) $(if $(SEED),--seed $(SEED))
 
 experiments:
 	$(PYTHON) -m repro.experiments.cli

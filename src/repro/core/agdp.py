@@ -46,7 +46,7 @@ exactly the blow-up the paper's construction avoids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from .errors import InconsistentSpecificationError
@@ -131,6 +131,16 @@ class AGDP:
         self.invariant_hook = None
         if source is not None:
             self.add_node(source)
+
+    def copy(self) -> "AGDP":
+        """An independent solver holding the same distances and counters."""
+        twin = AGDP(gc_enabled=self._gc_enabled)
+        twin._source = self._source
+        twin._dist = {node: dict(row) for node, row in self._dist.items()}
+        twin._dead = set(self._dead)
+        twin.stats = replace(self.stats)
+        twin.invariant_hook = self.invariant_hook
+        return twin
 
     # -- inspection --------------------------------------------------------------
 

@@ -48,6 +48,7 @@ step to, refusals included.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -87,22 +88,44 @@ class NumpyAGDP:
         #: edge insertion and kill (see repro.testing.invariants); None in
         #: production - the checks are O(n^3) per call
         self.invariant_hook = None
-        self._capacity = _INITIAL_CAPACITY
-        # cells outside the active prefix are never read as distances,
-        # but the whole-row closure takes ``min(cell, +inf)`` of the
-        # ones right of it: the store starts as +inf so that no NaN
-        # left in fresh memory ever meets that ``minimum``
-        self._matrix = np.full((self._capacity, self._capacity), np.inf)
-        #: reusable buffers of the closure, grown with the matrix and
-        #: always written before they are read: the candidates (outer
-        #: sum) and the row operand padded to a whole row
-        self._scratch = np.empty((self._capacity, self._capacity))
-        self._padded = np.empty(self._capacity)
+        self._allocate(_INITIAL_CAPACITY)
         self._n = 0
         self._slot: Dict[NodeKey, int] = {}
         self._keys: List[NodeKey] = []  # slot index -> node key
         if source is not None:
             self.add_node(source)
+
+    def _allocate(self, capacity: int) -> None:
+        self._capacity = capacity
+        # cells outside the active prefix are never read as distances,
+        # but the whole-row closure takes ``min(cell, +inf)`` of the
+        # ones right of it: the store starts as +inf so that no NaN
+        # left in fresh memory ever meets that ``minimum``
+        self._matrix = np.full((capacity, capacity), np.inf)
+        #: reusable buffers of the closure, grown with the matrix and
+        #: always written before they are read: the candidates (outer
+        #: sum) and the row operand padded to a whole row
+        self._scratch = np.empty((capacity, capacity))
+        self._padded = np.empty(capacity)
+
+    def copy(self) -> "NumpyAGDP":
+        """An independent solver holding the same distances and counters.
+
+        Only the active block is copied; the cells around it start as
+        ``+inf`` again, as in a solver that grew to this capacity.
+        """
+        twin = NumpyAGDP(gc_enabled=self._gc_enabled)
+        twin._source = self._source
+        if twin._capacity != self._capacity:
+            twin._allocate(self._capacity)
+        n = twin._n = self._n
+        twin._matrix[:n, :n] = self._matrix[:n, :n]
+        twin._slot = dict(self._slot)
+        twin._keys = list(self._keys)
+        twin._dead = set(self._dead)
+        twin.stats = replace(self.stats)
+        twin.invariant_hook = self.invariant_hook
+        return twin
 
     # -- inspection --------------------------------------------------------------
 
@@ -148,14 +171,10 @@ class NumpyAGDP:
     # -- mutation ----------------------------------------------------------------
 
     def _grow(self) -> None:
-        new_capacity = self._capacity * 2
-        grown = np.full((new_capacity, new_capacity), np.inf)
         n = self._n
-        grown[:n, :n] = self._matrix[:n, :n]
-        self._matrix = grown
-        self._scratch = np.empty((new_capacity, new_capacity))
-        self._padded = np.empty(new_capacity)
-        self._capacity = new_capacity
+        block = self._matrix[:n, :n]
+        self._allocate(self._capacity * 2)
+        self._matrix[:n, :n] = block
 
     def add_node(self, node: NodeKey) -> None:
         if node in self:

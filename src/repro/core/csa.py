@@ -63,8 +63,11 @@ because that primitive also excises the *causal future* of the dropped
 events - correct for views, but here nearly every honest event sits
 causally after a long-connected liar's early events; the graph layer can
 keep honest drift chains and simply skip edges whose other endpoint is
-gone, which Theorem 2.1 licenses.  A self-healing estimator audits its
-structural invariants at every hook and every read.
+gone, which Theorem 2.1 licenses.  A recovery starts from the log's
+:class:`Checkpoint` and replays - and re-ships - only what was logged
+after it, fewer than :data:`CHECKPOINT_EVERY` events however long the
+run; an eviction still replays the whole log.  A self-healing estimator
+audits its structural invariants at every hook and every read.
 
 **Sponsor bootstrap** (:meth:`EfficientCSA.bootstrap_from`): a late
 joiner adopts a sponsor's live frontier and live-live distances instead
@@ -79,7 +82,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .agdp import AGDP
 from .bootstrap import BootstrapSnapshot
@@ -137,6 +141,11 @@ class RecoveryEvent:
     at_lt: float
     #: which structural invariant failed (the detector's message)
     reason: str
+    #: logged events the rebuild replayed - its cost in a machine-independent
+    #: unit, bounded by :data:`CHECKPOINT_EVERY` when ``from_checkpoint``
+    replayed: int = 0
+    #: whether the rebuild started from a checkpoint or from the empty state
+    from_checkpoint: bool = False
 
 
 @dataclass
@@ -157,16 +166,44 @@ class CSAStats:
         return self.max_agdp_nodes * self.max_agdp_nodes + self.max_history_buffer
 
 
+#: logged events between two checkpoints of a self-healing estimator: the
+#: most a recovery replays and re-ships.  Throughput of the hardened sim
+#: is flat from 32 to 1024 (docs/PERFORMANCE.md), so this is not a knob.
+CHECKPOINT_EVERY = 256
+
+
+class Checkpoint(NamedTuple):
+    """The estimator as it stood once a prefix of its log had been applied.
+
+    The first three fields say which prefix - how many events, loss flags
+    and forwarded records the log held; the rest are private copies of the
+    state derived from it (nothing in them is shared with live state, which
+    a corruption scrambles in place).
+    """
+
+    position: int
+    flags: int
+    forwarded: int
+    live: LiveTracker
+    agdp: object
+    history: HistoryModule
+    source_rep: Optional[EventId]
+
+
 class ReplayLog:
     """Everything an estimator was told, in the order it was told.
 
     The durable ground truth that evictions and self-stabilization rebuild
     from: an adopted bootstrap snapshot, every event fed to the graph
     layer, every loss flag with the point of the run at which it was
-    applied, and the records that were only ever forwarded.
+    applied, the records that were only ever forwarded - and one
+    checkpoint, so that a recovery replays a bounded suffix.
     """
 
     def __init__(self) -> None:
+        #: the state some prefix of this log produced under a ledger that
+        #: excluded nothing; ``None`` until the first one is taken
+        self.checkpoint: Optional[Checkpoint] = None
         #: late-joiner handoff adopted at bootstrap; the prefix of every replay
         self.snapshot: Optional[BootstrapSnapshot] = None
         #: every event fed to the graph layer, in arrival order
@@ -198,21 +235,39 @@ class ReplayLog:
         self.snapshot = snapshot
         self.flags.update(dict.fromkeys(snapshot.loss_flags, 0))
 
-    def replay(self) -> Iterator[Union[Event, EventId]]:
+    def checkpoint_due(self) -> bool:
+        taken = self.checkpoint.position if self.checkpoint is not None else 0
+        return len(self.events) - taken >= CHECKPOINT_EVERY
+
+    def take_checkpoint(self, live, agdp, history, source_rep) -> None:
+        """Keep the given copies as the state of everything logged so far."""
+        self.checkpoint = Checkpoint(
+            len(self.events), len(self.flags), len(self.forwarded),
+            live, agdp, history, source_rep,
+        )
+
+    def replay(
+        self, since: Optional[Checkpoint] = None
+    ) -> Iterator[Union[Event, EventId]]:
         """Events and loss flags (bare ids) in the order the run applied them.
 
         A replay therefore never holds more live points than the run did,
         and a delivery that came after its flag stays without transit
         edges.  The snapshot is not part of the stream: the consumer
-        applies it to its fresh structures first.
+        applies it to its fresh structures first.  With ``since``, only
+        what was logged after that checkpoint - counted, not compared: a
+        flag applied between two hooks right after it carries the
+        checkpoint's own position.
         """
+        start, skip = (0, 0) if since is None else (since.position, since.flags)
         flags_at: Dict[int, List[EventId]] = {}
-        for flag, position in self.flags.items():
+        for flag, position in islice(self.flags.items(), skip, None):
             flags_at.setdefault(position, []).append(flag)
-        yield from flags_at.get(0, ())
-        for position, event in enumerate(self.events, 1):
-            yield event
-            yield from flags_at.get(position, ())
+        yield from flags_at.get(start, ())
+        events = self.events
+        for position in range(start, len(events)):
+            yield events[position]
+            yield from flags_at.get(position + 1, ())
 
 
 class _LogKnowledge:
@@ -357,6 +412,7 @@ class EfficientCSA(Estimator):
         if not self.reliable:
             self._pending_tokens[event.eid] = token
         self._maybe_rehabilitate()
+        self._maybe_checkpoint()
         self._debug_check()
         return payload
 
@@ -384,6 +440,7 @@ class EfficientCSA(Estimator):
         for flag in new_flags:
             self._apply_loss_flag(flag)
         self._maybe_rehabilitate()
+        self._maybe_checkpoint()
         self._debug_check()
 
     def on_internal(self, event: Event) -> None:
@@ -392,6 +449,7 @@ class EfficientCSA(Estimator):
         self.history.record_local(event)
         self._learn(event)
         self._maybe_rehabilitate()
+        self._maybe_checkpoint()
         self._debug_check()
 
     def on_delivery_confirmed(self, send_eid: EventId) -> None:
@@ -808,46 +866,103 @@ class EfficientCSA(Estimator):
         if reason is not None:
             self._recover(self._local_lt() if at_lt is None else at_lt, reason)
 
+    def _maybe_checkpoint(self) -> None:
+        """Checkpoint the log once enough has been logged since the last one.
+
+        Runs where a hook ends: history, tracker and solver all describe
+        the same prefix of the log there (inside :meth:`_learn` the
+        history has run ahead of the graph).  Only a ledger that excludes
+        nothing is captured - a recovery replays under a fresh one, so a
+        clean checkpoint plus the suffix is the full replay; an estimator
+        that has evicted keeps its last clean checkpoint and takes no new
+        one until it next recovers.
+        """
+        if not self.self_heal:
+            return  # never recovers, so would never restore one
+        log = self._log
+        if not log.checkpoint_due():
+            return
+        if self.suspicion is not None and self.suspicion.excludes_anything:
+            return
+        log.take_checkpoint(
+            self.live.copy(), self.agdp.copy(), self.history.copy(), self._source_rep
+        )
+
     def _recover(self, at_lt: float, reason: str) -> None:
         """Rebuild every subsystem from the replay log (self-stabilization).
 
-        The log is the ground truth; history, suspicion ledger, live
-        tracker and solver are all re-derived from it, so recovery is
-        *exact*: the rebuilt state is bit-identical to a never-corrupted
-        twin's (modulo watermarks, which reset and merely cause
-        re-shipping that receivers dedup).  Unsettled delivery tokens are
-        dropped - late confirms become no-ops and the unconfirmed payloads
-        are simply re-reported.
+        The log and its checkpoint are the ground truth; history,
+        suspicion ledger, live tracker and solver are restored from the
+        checkpoint and the events, forwarded records and loss flags logged
+        after it are applied again, through the calls the run made.  So
+        recovery is *exact* - distances, live set and knowledge are
+        bit-identical to a never-corrupted twin's - and costs what was
+        logged since the checkpoint, not the run.  Two things are not the
+        twin's: the watermarks are those *confirmed* when the checkpoint
+        was taken (lower bounds on what each neighbor knows, so the
+        replayed suffix and whatever was unconfirmed is buffered and
+        shipped again, and receivers dedup it), and unsettled delivery
+        tokens are dropped - late confirms become no-ops and the
+        unconfirmed payloads are simply re-reported.  Before the first
+        checkpoint the whole log is replayed into fresh structures and
+        every watermark restarts.
         """
-        self.recoveries += 1
-        self.recovery_events.append(RecoveryEvent(at_lt=at_lt, reason=reason))
         log = self._log
-        self.history = self._make_history()
-        if log.snapshot is not None:
-            self._adopt_frontier(log.snapshot)
+        since = log.checkpoint
+        position, flags, forwarded = (0, 0, 0) if since is None else since[:3]
+        self.recoveries += 1
+        self.recovery_events.append(
+            RecoveryEvent(
+                at_lt=at_lt,
+                reason=reason,
+                replayed=len(log.events) - position,
+                from_checkpoint=since is not None,
+            )
+        )
+        stats = self.history.stats
+        if since is None:
+            self.history = self._make_history()
+            if log.snapshot is not None:
+                self._adopt_frontier(log.snapshot)
+        else:
+            # a copy: this checkpoint may have to be restored again
+            self.history = since.history.copy()
+        self.history.stats = stats
         # frontier-covered forwardables first: they causally precede every
         # logged (post-bootstrap) event, so this is a valid learn order
-        self.history.adopt_events(log.forwarded.values())
-        self.history.adopt_events(log.events)
-        for flag in log.flags:
+        self.history.adopt_events(islice(log.forwarded.values(), forwarded, None))
+        self.history.adopt_events(log.events[position:])
+        for flag in islice(log.flags, flags, None):
             self.history.record_loss(flag)
         self.suspicion = self._make_ledger()
         self._pending_tokens.clear()
-        self._rebuild()
+        self._rebuild(since)
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, since: Optional[Checkpoint] = None) -> None:
         """Re-derive tracker and solver from the replay log, minus the evicted.
 
         A fresh live tracker and solver take the snapshot and then the
         log's events and loss flags in the order the run applied them.
         Sound by Theorem 2.1 - the surviving constraints are a subset of
-        genuine ones - and exact over what remains.
+        genuine ones - and exact over what remains.  An eviction replays
+        the whole log (the distances in a checkpoint are blended; the
+        graph minus one processor needs the events); a recovery, whose
+        ledger excludes nothing, passes the checkpoint to start from.
+        Counters carry over: the replay's work adds to the run's.
         """
-        self._fresh_graph()
         log = self._log
-        if log.snapshot is not None:
-            self._apply_snapshot(log.snapshot, replay=True)
-        for item in log.replay():
+        live, agdp = self.live, self.agdp
+        if since is None:
+            self._fresh_graph()
+            if log.snapshot is not None:
+                self._apply_snapshot(log.snapshot, replay=True)
+        else:
+            self.live, self.agdp = since.live.copy(), since.agdp.copy()
+            self._source_rep = since.source_rep
+        self.live.events_observed = live.events_observed
+        self.live.max_live = max(self.live.max_live, live.max_live)
+        self.agdp.stats = agdp.stats
+        for item in log.replay(since):
             if isinstance(item, Event):
                 self._insert_guarded(item, replay=True)
             else:

@@ -205,6 +205,11 @@ class SuspicionTracker:
             return True
         return eid.seq <= self.excised_until.get(eid.proc, -1)
 
+    @property
+    def excludes_anything(self) -> bool:
+        """Whether :meth:`is_excluded` can answer ``True`` at all."""
+        return bool(self._evicted or self.excised_until)
+
     # -- rehabilitation ----------------------------------------------------------
 
     def due_for_rehabilitation(self, now_lt: float) -> List[ProcessorId]:

@@ -69,7 +69,7 @@ differential property tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .errors import ProtocolError
@@ -221,6 +221,29 @@ class HistoryModule:
         self._tokens: Dict[int, _DeliveryToken] = {}
         self._token_ids = itertools.count()
         self.stats = HistoryStats(reports={} if track_reports else None)
+
+    def copy(self) -> "HistoryModule":
+        """An independent module in the same protocol state, nothing in flight.
+
+        Buffer, watermarks, indexes, loss flags and counters are copied
+        (event records are immutable and shared); unsettled delivery
+        tokens are not - to the copy those payloads were never confirmed,
+        so it re-reports them.
+        """
+        twin = HistoryModule(
+            self.proc, self.neighbors, reliable=self.reliable, gc_enabled=self._gc_enabled
+        )
+        twin._buffer = dict(self._buffer)
+        twin._watermark = {u: dict(marks) for u, marks in self._watermark.items()}
+        twin._pending = {u: dict(index) for u, index in self._pending.items()}
+        twin._lacking = dict(self._lacking)
+        twin._known = dict(self._known)
+        twin._loss_known = set(self._loss_known)
+        twin._loss_sent = {u: set(flags) for u, flags in self._loss_sent.items()}
+        twin._loss_pending = {u: set(flags) for u, flags in self._loss_pending.items()}
+        reports = self.stats.reports
+        twin.stats = replace(self.stats, reports=None if reports is None else dict(reports))
+        return twin
 
     # -- inspection ---------------------------------------------------------------
 

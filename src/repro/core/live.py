@@ -55,6 +55,17 @@ class LiveTracker:
         #: so live_count = len(_last) + this counter without building a set
         self._undelivered_nonlast = 0
 
+    def copy(self) -> "LiveTracker":
+        """An independent tracker in the same state (entries are immutable)."""
+        twin = LiveTracker()
+        twin._last = dict(self._last)
+        twin._undelivered = dict(self._undelivered)
+        twin._lost = set(self._lost)
+        twin.events_observed = self.events_observed
+        twin.max_live = self.max_live
+        twin._undelivered_nonlast = self._undelivered_nonlast
+        return twin
+
     # -- queries -----------------------------------------------------------------
 
     def last_event(self, proc: ProcessorId) -> Optional[Tuple[EventId, float]]:

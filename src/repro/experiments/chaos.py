@@ -237,13 +237,14 @@ def _churn_scenario_run(
         faults=plan,
         retransmit=RetransmitPolicy(timeout=1.0, backoff=2.0, max_retries=3),
     )
-    recoveries = result.recovery_events("efficient")
+    recoveries = result.recovery_events("efficient").get((victim, "efficient"), ())
     join_lag, _ = result.reconvergence_after(duration * 0.2, joiner, "efficient")
     reboot_lag, _ = result.reconvergence_after(duration * 0.5, rebooter, "efficient")
     corrupt_lag, _ = result.reconvergence_after(duration * 0.6, victim, "efficient")
     verdict = {
         "bootstrapped": result.sim.faults.injected["joins_bootstrapped"],
-        "victim_recoveries": len(recoveries.get((victim, "efficient"), ())),
+        "victim_recoveries": len(recoveries),
+        "max_replayed": max((r.replayed for r in recoveries), default=0),
         "join_lag": join_lag,
         "reboot_lag": reboot_lag,
         "corrupt_lag": corrupt_lag,

@@ -113,8 +113,10 @@ def run(
                 injections=(StateCorruption(victim, corrupt_at, scope),),
             )
             churn = _churn_run(shape, n, duration, run_seed, plan, period)
-            recoveries = churn.recovery_events("efficient")
-            victim_recoveries = len(recoveries.get((victim, "efficient"), ()))
+            recoveries = churn.recovery_events("efficient").get(
+                (victim, "efficient"), ()
+            )
+            victim_recoveries = len(recoveries)
             lag, examined = churn.reconvergence_after(
                 corrupt_at, victim, "efficient"
             )
@@ -129,6 +131,9 @@ def run(
                     "reconvergence_rt": (
                         round(lag, 3) if math.isfinite(lag) else None
                     ),
+                    # the recovery's cost in logged events replayed, a
+                    # unit no machine changes (max over the recoveries)
+                    "replayed": max((r.replayed for r in recoveries), default=None),
                     "tail_samples": examined,
                     "soundness_violations": violations,
                 }

@@ -14,6 +14,11 @@ Version history:
 * **2** - adds per-directed-link ``links`` counters
   (sent/lost/duplicated per ``src -> dest``).  Version-1 documents still
   load; their per-link counters are simply absent (empty mapping).
+
+A run whose estimators self-stabilized also carries a ``recoveries`` list
+(one row per :class:`~repro.core.csa.RecoveryEvent`: who, when, why, how
+many logged events were replayed, whether from a checkpoint) - an extra
+key, like the live runtime's, that loaders pass through untouched.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ __all__ = [
     "samples_to_dicts",
     "link_stats_to_dicts",
     "link_stats_from_dicts",
+    "recoveries_to_dicts",
     "dump_run",
     "load_run",
     "load_run_document",
@@ -183,6 +189,25 @@ def link_stats_from_dicts(rows: List[Dict]) -> Dict[Tuple[str, str], Dict[str, i
     }
 
 
+# -- self-stabilization recoveries (extra key) ----------------------------------------
+
+
+def recoveries_to_dicts(recovery_events: Dict) -> List[Dict]:
+    """Flatten ``(proc, channel) -> [RecoveryEvent]`` into sorted JSON rows."""
+    return [
+        {
+            "proc": proc,
+            "channel": channel,
+            "at_lt": event.at_lt,
+            "reason": event.reason,
+            "replayed": event.replayed,
+            "from_checkpoint": event.from_checkpoint,
+        }
+        for (proc, channel), events in sorted(recovery_events.items())
+        for event in events
+    ]
+
+
 # -- whole runs -----------------------------------------------------------------------
 
 
@@ -197,6 +222,9 @@ def dump_run(result, path: str) -> None:
         "messages_lost": result.sim.messages_lost,
         "links": link_stats_to_dicts(result.sim.link_stats),
     }
+    recoveries = recoveries_to_dicts(result.recovery_events())
+    if recoveries:
+        document["recoveries"] = recoveries
     with open(path, "w") as handle:
         json.dump(document, handle)
 

@@ -128,6 +128,29 @@ class TestStateCorruptionRuns:
         assert math.isfinite(lag)
         assert result.soundness_violations() == []
 
+    def test_archive_shows_what_each_recovery_replayed(self, tmp_path):
+        import json
+
+        from repro.sim.serialize import dump_run, load_run
+
+        victim = NAMES[1]
+        plan = FaultPlan(injections=(StateCorruption(victim, 15.0, "agdp"),))
+        result = run(plan, self_heal=True)
+        path = tmp_path / "run.json"
+        dump_run(result, str(path))
+        (row,) = json.loads(path.read_text())["recoveries"]
+        (event,) = result.recovery_events("efficient")[(victim, "efficient")]
+        assert row == {
+            "proc": victim,
+            "channel": "efficient",
+            "at_lt": event.at_lt,
+            "reason": event.reason,
+            "replayed": event.replayed,
+            "from_checkpoint": event.from_checkpoint,
+        }
+        assert row["replayed"] > 0
+        load_run(str(path))  # an extra key: loaders pass it through
+
     def test_non_healing_estimator_refuses_the_scramble(self):
         plan = FaultPlan(injections=(StateCorruption(NAMES[1], 15.0, "agdp"),))
         result = run(plan, self_heal=False)
