@@ -122,7 +122,7 @@ examples:
 
 # live 4-node cluster over loopback with drifting clocks (~4 s)
 rt-demo:
-	$(PYTHON) -m repro.rt.cli --nodes 4 --shape ring --duration 4 \
+	$(PYTHON) -m repro.rt.cli cluster --nodes 4 --shape ring --duration 4 \
 		--period 0.2 --drifting --require-converged
 
 # the CI wire gate: a mixed-codec UDP cluster (n2 pinned to the v2 JSON
@@ -130,41 +130,41 @@ rt-demo:
 # soundness violations; the checker then verifies the archived document
 # records the mixed codec map and passes the Thm 2.1 oracle
 wire-smoke: | $(BUILD)
-	$(PYTHON) -m repro.rt.cli --nodes 4 --shape line --transport udp \
+	$(PYTHON) -m repro.rt.cli cluster --nodes 4 --shape line --transport udp \
 		--duration 4 --period 0.2 --drifting --json-node n2 --seed 0 \
 		--require-converged --out $(BUILD)/wire_smoke_run.json
 	$(PYTHON) scripts/check_wire_smoke.py $(BUILD)/wire_smoke_run.json
 
 # the CI runtime gate: loopback + real UDP sockets, both must converge
 rt-smoke: | $(BUILD)
-	$(PYTHON) -m repro.rt.cli --nodes 3 --duration 8 --period 0.25 \
+	$(PYTHON) -m repro.rt.cli cluster --nodes 3 --duration 8 --period 0.25 \
 		--skew-ppm 100 --require-converged --out $(BUILD)/rt_loopback_run.json
-	$(PYTHON) -m repro.rt.cli --nodes 2 --transport udp --duration 8 \
+	$(PYTHON) -m repro.rt.cli cluster --nodes 2 --transport udp --duration 8 \
 		--period 0.25 --skew-ppm 100 --require-converged --out $(BUILD)/rt_udp_run.json
 
 # serving-tier demo: 2 servers, 4 clients, primary crash and failover (~3 s)
 serve-demo:
-	$(PYTHON) -m repro.rt.serve_cli --nodes 3 --duration 3 --clients 4 \
+	$(PYTHON) -m repro.rt.cli serve --nodes 3 --duration 3 --clients 4 \
 		--crash-primary 1.2:2.2 --eps-max 0.02 --require-sound
 
 # sustained overload: an undersized bucket must shed explicitly while
 # every accepted bound stays sound (archives the scorecard)
 loadtest: | $(BUILD)
-	$(PYTHON) -m repro.rt.serve_cli --nodes 3 --duration 5 --clients 8 \
+	$(PYTHON) -m repro.rt.cli serve --nodes 3 --duration 5 --clients 8 \
 		--bucket-rate 40 --bucket-burst 5 --max-interval 0.03 \
 		--require-sound --out $(BUILD)/serve_load_run.json
 
 # stratum federation demo: a 3-node core delegating to two downstream
 # tiers in one process, skewed clocks everywhere but the borders (~4 s)
 strata-demo:
-	$(PYTHON) -m repro.rt.strata.cli --core-nodes 3 --tiers 2 --tier-nodes 2 \
+	$(PYTHON) -m repro.rt.cli strata --core-nodes 3 --tiers 2 --tier-nodes 2 \
 		--duration 4 --skew-ppm 120 --require-sound
 
 # the CI hierarchy gate: a two-tier federation across real OS processes
 # over UDP, primary anchor crashed mid-run - the downstream border must
 # re-elect with zero soundness violations (fixed seed, partial archive)
 hierarchy-smoke: | $(BUILD)
-	$(PYTHON) -m repro.rt.strata.cli --procs --core-nodes 3 --tiers 1 \
+	$(PYTHON) -m repro.rt.cli strata --procs --core-nodes 3 --tiers 1 \
 		--tier-nodes 2 --duration 8 --skew-ppm 120 --sync-period 0.15 \
 		--max-age 1.0 --crash-anchor 3 --seed 0 \
 		--require-sound --require-election --out $(BUILD)/strata_smoke_run.json
@@ -172,10 +172,10 @@ hierarchy-smoke: | $(BUILD)
 # the CI serving gate: primary crash mid-load over loopback with skewed
 # clocks, plus a UDP swarm - both must end with zero unsound accepts
 serve-smoke: | $(BUILD)
-	$(PYTHON) -m repro.rt.serve_cli --nodes 3 --duration 6 --clients 4 \
+	$(PYTHON) -m repro.rt.cli serve --nodes 3 --duration 6 --clients 4 \
 		--crash-primary 2:4 --skew-ppm 100 --eps-max 0.02 \
 		--require-sound --out $(BUILD)/serve_smoke_run.json
-	$(PYTHON) -m repro.rt.serve_cli --nodes 2 --transport udp --duration 4 \
+	$(PYTHON) -m repro.rt.cli serve --nodes 2 --transport udp --duration 4 \
 		--clients 2 --require-sound
 
 $(BUILD):

@@ -425,9 +425,9 @@ class AGDP:
 
         Observable behaviour (matrix contents, stats counters,
         invariant-hook firing order, failure points) is identical to
-        sequential :meth:`step` calls.  The estimator steps once per
-        learned event itself; this stays because the layered benchmark's
-        hook table (``bench/trace.py``) names it.
+        sequential :meth:`step` calls.  No production caller: the
+        estimator steps once per learned event.  It is kept only as a
+        ``bench/trace.py`` hook point until that hook table is re-based.
         """
         for node, edges, kills in steps:
             self.step(node, edges, kills)

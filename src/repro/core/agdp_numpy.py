@@ -412,7 +412,10 @@ class NumpyAGDP:
             Tuple[NodeKey, Iterable[Tuple[NodeKey, NodeKey, float]], Iterable[NodeKey]]
         ],
     ) -> None:
-        """Apply many input steps in order; see :meth:`AGDP.step_batch`."""
+        """Apply many input steps in order; see :meth:`AGDP.step_batch`.
+
+        No production caller: kept only as a ``bench/trace.py`` hook point.
+        """
         for node, edges, kills in steps:
             self.step(node, edges, kills)
 

@@ -483,6 +483,9 @@ class HistoryModule:
         the results.  Callers that serialize payloads can then encode per
         distinct object instead of per destination.  Tokens stay
         per-neighbor (watermark advances are independent).
+
+        No production caller: it is kept only as a ``bench/trace.py``
+        hook point until that hook table is re-based.
         """
         results: Dict[ProcessorId, Tuple[HistoryPayload, int]] = {}
         shared: Dict[Tuple[Tuple[int, ...], Tuple[EventId, ...]], HistoryPayload] = {}

@@ -31,9 +31,9 @@ Layers (bottom up):
 * :mod:`repro.rt.strata` - the stratum hierarchy: federated multi-tier
   clusters (optionally spanning OS processes over UDP) with anchor
   delegation, crash-driven re-election, and gradient sync metrics.
-* :mod:`repro.rt.cli` / :mod:`repro.rt.serve_cli` /
-  :mod:`repro.rt.strata.cli` - the ``repro-rt``, ``repro-serve``, and
-  ``repro-strata`` entry points.
+* :mod:`repro.rt.cli` - ``repro-rt``, the one entry point: subcommands
+  ``cluster``, ``serve`` and ``strata`` (plus the internal ``tier``
+  child of ``strata --procs``) under one clean-death contract.
 """
 
 from .client import (

@@ -210,7 +210,8 @@ class RtRunResult:
     nodes: Dict[ProcessorId, NodeStats]
     messages_sent: int
     messages_lost: int
-    #: serialize-v2 ``links`` rows: per-directed-link sent/lost/duplicated
+    #: serialize-v2 ``links`` rows: per-directed-link sent/lost/duplicated,
+    #: plus the extra ``unencodable`` key (syncs lost unsent over the cap)
     link_rows: List[Dict]
     #: the run was cut short (SIGINT / --timeout); evidence is partial
     aborted: bool = False
@@ -374,6 +375,7 @@ def _link_rows(nodes: Sequence[Node]) -> List[Dict]:
                     "sent": stats.sent,
                     "lost": stats.losses_signaled,
                     "duplicated": stats.duplicates,
+                    "unencodable": stats.unencodable,
                 }
             )
     return rows

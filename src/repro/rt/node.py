@@ -105,6 +105,8 @@ class LinkStats:
     coalesced: int = 0
     #: join requests received from this peer (we acted as its sponsor)
     join_requests: int = 0
+    #: syncs no frame could carry (body over the cap): lost unsent
+    unencodable: int = 0
     #: highest own seq this peer has confirmed (-1: nothing acked yet)
     last_acked_seq: int = -1
     #: highest peer seq seen on this link, duplicates included
@@ -233,8 +235,6 @@ class Node:
         self.boot_oversized = 0
         #: plain syncs dropped (unacked) while holding out for a boot
         self.boot_deferred = 0
-        #: syncs no frame could carry (body over the cap): lost unsent
-        self.unencodable_syncs = 0
         #: elapsed instant after which a fresh joiner stops waiting
         self._boot_deadline: Optional[float] = None
         #: per-peer negotiated wire codec; every link starts as JSON and
@@ -473,7 +473,7 @@ class Node:
             except ProtocolError:
                 # the send event stands but nothing goes on the wire: a
                 # lost message, which the ack timer below reports as one
-                self.unencodable_syncs += 1
+                stats.unencodable += 1
         if frame_bytes is not None:
             self._send_frame(dest, frame_bytes)
         timer = asyncio.get_running_loop().call_later(

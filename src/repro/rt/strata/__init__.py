@@ -34,9 +34,10 @@ existing runtime:
 * :mod:`repro.rt.strata.gradient` - the gradient scorecard following
   Kuhn/Lenzen/Locher/Oshman: per-pair clock skew as a function of
   federation hop distance, emitted in the serialize-v2 run document.
-* :mod:`repro.rt.strata.cli` - the ``repro-strata`` entry point
-  (clean-death contract shared with ``repro-rt``/``repro-serve``) and
-  :mod:`repro.rt.strata.tier_main`, the downstream-tier child process.
+
+The command line is ``repro-rt strata`` (:mod:`repro.rt.cli`); with
+``--procs`` each downstream tier runs in a ``python -m repro.rt.cli
+tier`` child process.
 """
 
 from .membership import (

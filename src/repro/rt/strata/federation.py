@@ -6,8 +6,8 @@ Two runners share every piece but the process boundary:
   shared transport (loopback or UDP).  The cheap path for tests and
   experiments.
 * :func:`run_federation_procs` - the core tier in *this* process, every
-  downstream tier in its own OS process (``python -m
-  repro.rt.strata.tier_main``), all over real UDP sockets.  Real time
+  downstream tier in its own OS process (``python -m repro.rt.cli
+  tier``), all over real UDP sockets.  Real time
   stays comparable because ``time.monotonic()`` is ``CLOCK_MONOTONIC``
   (one axis per boot): the parent ships its
   :class:`~repro.rt.clock.TimeBase` origin to every child.
@@ -35,9 +35,10 @@ Addresses learned mid-run route immediately: the directory's
 reads it on every send.  Until the handshake completes, cross-process
 datagrams are simply lost - the protocol already tolerates loss.
 
-SIGINT follows the repro-rt clean-death contract: the parent forwards it
-to the children, everyone winds down at the next period edge, and the
-merged document carries ``"partial": true``.
+SIGINT follows the ``repro-rt`` clean-death contract: the parent forwards
+it to the children, everyone winds down at the next period edge, and the
+merged document carries ``"partial": true``.  A child that outlives the
+wind-down is killed.
 """
 
 from __future__ import annotations
@@ -571,7 +572,8 @@ async def run_federation_procs(
             child = await asyncio.create_subprocess_exec(
                 python,
                 "-m",
-                "repro.rt.strata.tier_main",
+                "repro.rt.cli",
+                "tier",
                 stdin=asyncio.subprocess.PIPE,
                 stdout=asyncio.subprocess.PIPE,
                 env=_child_env(),

@@ -54,9 +54,7 @@ from .delegation import (
     DelegationServer,
     ElectionEvent,
     anchor_link_config,
-    anchor_link_endpoint,
     compose_delegated,
-    deleg_endpoint,
 )
 from .membership import TierSpec
 
@@ -207,13 +205,6 @@ class TierRunner:
             self.deleg_servers[proc] = server
             self.cluster.attach_companion(proc, server)
         self.cluster.on_sample.append(self._record_external)
-
-    def extra_endpoints(self) -> Tuple[ProcessorId, ...]:
-        """Non-protocol endpoints this tier binds (for the address book)."""
-        names = [deleg_endpoint(proc) for proc in self.tier.exports]
-        if self.tier.stratum > 0:
-            names.append(anchor_link_endpoint(self.tier.border_proc))
-        return tuple(names)
 
     # -- external sample derivation ----------------------------------------------
 

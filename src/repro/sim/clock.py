@@ -61,9 +61,9 @@ class ClockModel(abc.ABC):
     def lt_batch(self, rts: List[float]) -> List[float]:
         """Local times for many real times; identical values to mapping :meth:`lt`.
 
-        The batch-delivery engine path funnels every same-round timestamp
-        through one call so stateful models can amortize their lazy state
-        extension; the default is the plain scalar loop.
+        No production caller: the engine reads one :meth:`lt` per event.
+        Kept only as a ``bench/trace.py`` hook point until its hook table
+        is re-based.
         """
         return [self.lt(rt) for rt in rts]
 
@@ -187,29 +187,6 @@ class PiecewiseDriftingClock(ClockModel):
         idx = bisect.bisect_right(self._starts_rt, rt) - 1
         rt_start, lt_start, rate = self._segments[idx]
         return lt_start + rate * (rt - rt_start)
-
-    def lt_batch(self, rts: List[float]) -> List[float]:
-        """Bulk :meth:`lt`: one segment extension, then O(log n) per query.
-
-        Values are bit-identical to the scalar loop - ``_extend_to`` draws
-        the same segment sequence whether it is reached incrementally or
-        in one jump to the batch maximum - but the per-call horizon check
-        and Python dispatch are paid once.  Inputs are validated up front,
-        so an invalid batch raises before any segments are generated.
-        """
-        if not rts:
-            return []
-        for rt in rts:
-            if rt < 0:
-                raise SimulationError(f"real time must be >= 0, got {rt}")
-        self._extend_to(max(rts))
-        starts_rt = self._starts_rt
-        segments = self._segments
-        out = []
-        for rt in rts:
-            rt_start, lt_start, rate = segments[bisect.bisect_right(starts_rt, rt) - 1]
-            out.append(lt_start + rate * (rt - rt_start))
-        return out
 
     def rt(self, lt: float) -> float:
         if lt < self._segments[0][1]:

@@ -3,7 +3,9 @@
 The engine advances real time through a priority queue of actions, creates
 events (sends, receives, internal points) at processors, drives every
 attached passive estimator, and records the omniscient
-:class:`~repro.sim.trace.ExecutionTrace`.
+:class:`~repro.sim.trace.ExecutionTrace`.  Every action - a delivery, a
+timer, a workload tick, an injected fault - is a plain callable popped
+and run one at a time in ``(rt, tie)`` order; there is one delivery path.
 
 Design points that matter for fidelity:
 
@@ -52,6 +54,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.csa_base import Estimator
@@ -77,26 +80,6 @@ class Message:
     info: object = None
     #: 0 for the original transmission, k for the k-th retransmission
     attempt: int = 0
-
-
-class _DeliveryAction:
-    """A scheduled message delivery, recognisable on the action queue.
-
-    ``run_until`` coalesces runs of consecutively queued deliveries bound
-    for the same destination into one batch (bulk local-time generation,
-    hoisted per-destination lookups); everything else on the queue stays
-    an opaque callable.
-    """
-
-    __slots__ = ("sim", "message", "arrival")
-
-    def __init__(self, sim: "Simulation", message: "Message", arrival: float):
-        self.sim = sim
-        self.message = message
-        self.arrival = arrival
-
-    def __call__(self) -> None:
-        self.sim._deliver(self.message, self.arrival)
 
 
 @dataclass
@@ -130,21 +113,16 @@ class SimProcessor:
         *,
         dest: Optional[ProcessorId] = None,
         send_eid: Optional[EventId] = None,
-        lt_hint: Optional[float] = None,
     ) -> Tuple[Event, float]:
         """Create this processor's next event at (approximately) ``rt``.
 
         Returns ``(event, actual_rt)``; ``actual_rt`` may be nudged forward
         to keep per-processor real times (hence local times) strictly
-        increasing.  ``lt_hint`` is the precomputed ``clock.lt(rt)`` for
-        the *unnudged* ``rt`` (from a :meth:`ClockModel.lt_batch` bulk
-        read); it is discarded whenever the nudge changes ``rt``.
+        increasing.
         """
         if rt <= self.last_event_rt:
             rt = self.last_event_rt + _NUDGE
-            lt = self.clock.lt(rt)
-        else:
-            lt = self.clock.lt(rt) if lt_hint is None else lt_hint
+        lt = self.clock.lt(rt)
         if lt <= self.last_event_lt:
             raise SimulationError(
                 f"clock of {self.name!r} not strictly increasing at rt={rt}"
@@ -353,7 +331,7 @@ class Simulation:
         arrival = self._fifo_arrival(
             src, dest, send_rt, link, excursion_extra=excursion_extra
         )
-        self.schedule_at(arrival, _DeliveryAction(self, message, arrival))
+        self.schedule_at(arrival, partial(self._deliver, message, arrival))
         if self.faults is not None and self.faults.duplicated(src, dest, send_rt):
             # the echo trails the original; it is discarded at the receiver
             # without creating a receive event, so it does not constrain the
@@ -415,9 +393,7 @@ class Simulation:
 
     # -- delivery and loss ---------------------------------------------------------
 
-    def _deliver(
-        self, message: Message, arrival: float, *, lt_hint: Optional[float] = None
-    ) -> None:
+    def _deliver(self, message: Message, arrival: float) -> None:
         send_event = message.send_event
         dest = send_event.dest
         if self.crashed(dest):
@@ -427,7 +403,7 @@ class Simulation:
             return
         dp = self.processors[dest]
         receive_event, recv_rt = dp.make_event(
-            arrival, EventKind.RECEIVE, send_eid=send_event.eid, lt_hint=lt_hint
+            arrival, EventKind.RECEIVE, send_eid=send_event.eid
         )
         self.trace.record(receive_event, recv_rt)
         for name, estimator in dp.estimators.items():
@@ -483,10 +459,6 @@ class Simulation:
             estimator.on_loss_detected(send_event.eid)
         if self.on_loss is not None:
             self.on_loss(self, send_event, message.info)
-
-    def _detect_loss(self, message: Message) -> None:
-        """Backwards-compatible alias for the oracle detection signal."""
-        self._signal_loss(message)
 
     def _ack_timeout(self, message: Message) -> None:
         """Retransmit-policy timer: no confirmation in time means presumed lost."""
@@ -567,10 +539,8 @@ class Simulation:
     def run_until(self, rt_limit: float, *, max_actions: Optional[int] = None) -> int:
         """Process queued actions until ``rt_limit``; returns actions executed.
 
-        Consecutively queued deliveries bound for the same destination are
-        drained as one batch (:meth:`_deliver_batch`); execution order and
-        all observable behaviour are identical to the scalar loop - the
-        batch merely amortizes per-delivery lookups and local-time reads.
+        One action at a time, in ``(rt, tie)`` order: a delivery is an
+        action like any other (:meth:`_deliver` bound to its message).
         """
         executed = 0
         queue = self._queue
@@ -582,22 +552,7 @@ class Simulation:
                 # drained up to rt_limit: nothing can happen before it
                 self.now = max(self.now, rt_limit)
                 break
-            entry = heapq.heappop(queue)
-            rt, _tie, action = entry
-            if type(action) is _DeliveryAction:
-                dest = action.message.send_event.dest
-                batch = [entry]
-                while (
-                    queue
-                    and queue[0][0] <= rt_limit
-                    and type(queue[0][2]) is _DeliveryAction
-                    and queue[0][2].message.send_event.dest == dest
-                    and (max_actions is None or executed + len(batch) < max_actions)
-                ):
-                    batch.append(heapq.heappop(queue))
-                if len(batch) > 1:
-                    executed += self._deliver_batch(dest, batch)
-                    continue
+            rt, _tie, action = heapq.heappop(queue)
             self._advance(rt)
             action()
             executed += 1
@@ -610,35 +565,6 @@ class Simulation:
                 f"simulated time moved backwards ({rt} < {self.now})"
             )
         self.now = rt
-
-    def _deliver_batch(
-        self, dest: ProcessorId, batch: List[Tuple[float, int, "_DeliveryAction"]]
-    ) -> int:
-        """Deliver a run of same-destination messages popped from the queue.
-
-        Local times for the whole run are read through one
-        :meth:`ClockModel.lt_batch` call (each hint is discarded if the
-        per-processor nudge moves its event).  A delivery's hooks (the
-        workload's ``on_message``, retransmit timers) may schedule actions
-        *between* two batched arrivals; before each subsequent delivery
-        the queue head is re-checked and any not-yet-delivered remainder
-        is pushed back - entries keep their original ``(rt, tie)`` keys,
-        so the resulting execution order is exactly the scalar schedule.
-        """
-        hints = self.processors[dest].clock.lt_batch(
-            [entry[2].arrival for entry in batch]
-        )
-        queue = self._queue
-        executed = 0
-        for i, (rt, tie, action) in enumerate(batch):
-            if i and queue and (queue[0][0], queue[0][1]) < (rt, tie):
-                for entry in batch[i:]:
-                    heapq.heappush(queue, entry)
-                break
-            self._advance(rt)
-            self._deliver(action.message, action.arrival, lt_hint=hints[i])
-            executed += 1
-        return executed
 
     def pending_actions(self) -> int:
         return len(self._queue)

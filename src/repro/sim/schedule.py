@@ -217,13 +217,6 @@ class Schedule:
     def names(self) -> Tuple[ProcessorId, ...]:
         return tuple(f"q{i}" for i in range(len(self.rates)))
 
-    def directed_links(self) -> List[Tuple[int, int]]:
-        out = []
-        for u, v in self.edges:
-            out.append((u, v))
-            out.append((v, u))
-        return sorted(set(out))
-
     # -- persistence (the corpus format, docs/TESTING.md) ----------------------
 
     def to_dict(self) -> Dict:

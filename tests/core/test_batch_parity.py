@@ -1,13 +1,11 @@
 """Batch APIs are observationally identical to their scalar loops.
 
-The batch-delivery engine path leans on three amortization APIs added
-for the wire/batching perf pass: :meth:`ClockModel.lt_batch`,
-:meth:`AGDP.step_batch` (both backends), and
-:meth:`HistoryModule.prepare_payloads`.  Each one promises *exactly* the
+:meth:`ClockModel.lt_batch`, :meth:`AGDP.step_batch` (both backends) and
+:meth:`HistoryModule.prepare_payloads` have no production caller since
+the engine and the estimator went one event at a time; they stay as
+``bench/trace.py`` hook points.  Each still promises *exactly* the
 scalar semantics - same values, same stats, same sharing-visible
-behavior - so the engine may switch between paths freely without
-changing any observable result.  These properties pin that promise
-directly, complementing the end-to-end reference parity suite.
+behavior - and these properties pin that promise directly.
 """
 
 import pytest

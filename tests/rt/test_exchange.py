@@ -98,7 +98,7 @@ class _Pair:
         return deleg_frame(src, dst, nonce, bound, hops=1, stratum=0, **fields)
 
 
-def _serve_client(servers, transport, time_base, clock, **config):
+def _probe_client(servers, transport, time_base, clock, **config):
     return ServeClient(
         ClientConfig(name="c0", servers=tuple(serve_endpoint(s) for s in servers), **config),
         transport,
@@ -123,7 +123,7 @@ PROBE = _Pair(
     answer_type="reply",
     endpoint_of=serve_endpoint,
     server=lambda node, transport, config, source: ServeNode(node, transport, config, source),
-    client=_serve_client,
+    client=_probe_client,
 )
 DREQ = _Pair(
     request=dreq_frame,

@@ -28,6 +28,7 @@ from repro.rt.clock import MonotonicClockSource, SkewedClockSource, TimeBase
 from repro.rt.cluster import (
     ClusterConfig,
     CrashSchedule,
+    _link_rows,
     build_spec,
     dump_rt_run,
     run_cluster_sync,
@@ -303,14 +304,21 @@ class TestUnencodableSync:
             alive = not node._gossip_task.done()
             await node.stop()
             await transport.stop()
-            return node, heard, alive
+            return node, heard, alive, node.snapshot()
 
-        node, heard, alive = asyncio.run(run())
+        node, heard, alive, snapshot = asyncio.run(run())
         assert alive, "the gossip task died on an unencodable sync"
-        assert node.unencodable_syncs >= 3
+        unencodable = node.stats["n0"].unencodable
+        assert unencodable >= 3 and node.stats["n2"].unencodable == 0
+        # the dead link is visible where every send-path counter is: the
+        # node snapshot and the archived document's link rows
+        assert snapshot.links["n0"].unencodable == unencodable
+        rows = {row["dest"]: row for row in _link_rows([node])}
+        assert rows["n0"]["unencodable"] == unencodable
+        assert rows["n2"]["unencodable"] == 0
         # every send event stands: logged, counted, and reported lost by
         # the ack timer (including from inside the timeout's own retry)
-        assert node.stats["n0"].sent == node.unencodable_syncs
+        assert node.stats["n0"].sent == unencodable
         assert node.stats["n0"].retransmissions >= 1
         unsent = {event.eid for event, _rt in node.trace_log if event.dest == "n0"}
         assert node.stats["n0"].losses_signaled == len(unsent.intersection(losses)) >= 1

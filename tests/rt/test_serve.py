@@ -10,12 +10,14 @@ The load-bearing assertions:
   server degrades loudly instead of lying;
 * clients ride out a primary crash: accrual failover to a backup and
   re-convergence, all through FaultMiddleware burst loss + duplication;
-* the CLIs die cleanly: ``--timeout`` and SIGINT produce a partial
-  archived document and a non-zero exit, never a traceback or hang.
+* every ``repro-rt`` subcommand dies cleanly: ``--timeout`` and SIGINT
+  produce a partial archived document and a non-zero exit, never a
+  traceback or hang.
 
 All async tests run via asyncio.run inside plain pytest functions.
 """
 
+import argparse
 import asyncio
 import json
 import math
@@ -27,7 +29,7 @@ import sys
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.rt.cli import main as rt_main
+from repro.rt.cli import build_parser, main as rt_main
 from repro.rt.client import AccrualHealth, ClientConfig, ServeClient
 from repro.rt.clock import MonotonicClockSource, SkewedClockSource, TimeBase
 from repro.rt.cluster import ClusterConfig, CrashSchedule, LiveCluster
@@ -44,7 +46,6 @@ from repro.rt.serve import (
     serve_endpoint,
     serve_owner,
 )
-from repro.rt.serve_cli import main as serve_main
 from repro.rt.wire import decode_frame, encode_frame, probe_frame
 from repro.sim.faults import BurstLoss, Duplication, FaultPlan, RetransmitPolicy
 from repro.sim.serialize import load_run
@@ -481,12 +482,55 @@ class TestServeChaos:
         assert sum(c.stats.unmatched for c in result.clients) > 0
 
 
+#: per ``repro-rt`` subcommand: a run that outlives a short ``--timeout``,
+#: and usage errors only that subcommand's own checks catch
+DEATH_CASES = {
+    "cluster": (
+        ["--duration", "60"],
+        [["--nodes", "1"], ["--crash", "n1"], ["--duration", "0"]],
+    ),
+    "serve": (
+        ["--duration", "60", "--clients", "1"],
+        [["--nodes", "1"], ["--servers", "9"], ["--servers", "0"]],
+    ),
+    "strata": (
+        ["--duration", "60"],
+        [["--core-nodes", "2"], ["--tier-nodes", "1"], ["--tiers", "0"]],
+    ),
+}
+
+#: every option string of the three CLIs the subcommands replaced
+PREDECESSOR_OPTIONS = {
+    "cluster": [
+        "-h", "--help", "--nodes", "--shape", "--transport", "--duration",
+        "--period", "--sample-period", "--skew-ppm", "--drifting", "--drift-ppm",
+        "--crash", "--seed", "--codec", "--json-node", "--out", "--timeout",
+        "--require-converged",
+    ],
+    "serve": [
+        "-h", "--help", "--nodes", "--shape", "--transport", "--duration",
+        "--period", "--sample-period", "--skew-ppm", "--drifting", "--drift-ppm",
+        "--crash", "--seed", "--crash-primary", "--servers", "--clients",
+        "--eps-max", "--probe-timeout", "--max-interval", "--bucket-rate",
+        "--bucket-burst", "--queue-limit", "--service-time", "--stale-after",
+        "--warmup", "--out", "--timeout", "--require-sound",
+    ],
+    "strata": [
+        "-h", "--help", "--core-nodes", "--core-shape", "--tiers", "--tier-nodes",
+        "--tier-shape", "--transport", "--duration", "--period", "--sample-period",
+        "--skew-ppm", "--drifting", "--drift-ppm", "--crash", "--seed", "--procs",
+        "--sync-period", "--max-age", "--crash-anchor", "--out", "--timeout",
+        "--require-sound", "--require-election",
+    ],
+}
+
+
 class TestCliRobustness:
-    def test_serve_cli_happy_path(self, tmp_path, capsys):
+    def test_serve_happy_path(self, tmp_path, capsys):
         out = tmp_path / "serve.json"
-        code = serve_main(
+        code = rt_main(
             [
-                "--duration", "1.0", "--clients", "2", "--warmup", "0.2",
+                "serve", "--duration", "1.0", "--clients", "2", "--warmup", "0.2",
                 "--eps-max", "0.02", "--out", str(out), "--require-sound",
             ]
         )
@@ -495,29 +539,45 @@ class TestCliRobustness:
         assert "partial" not in doc
         assert doc["serving"]["unsound_accepted"] == 0
 
-    def test_serve_cli_timeout_partial_doc(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", sorted(DEATH_CASES))
+    def test_death_contract(self, command, tmp_path, capsys):
+        long_run, bad_usages = DEATH_CASES[command]
+        for usage in bad_usages + [["--timeout", "0"], ["--timeout", "-1"]]:
+            assert rt_main([command, *usage]) == 2, usage
+        assert "Traceback" not in capsys.readouterr().err
         out = tmp_path / "partial.json"
-        code = serve_main(
-            ["--duration", "60", "--clients", "1", "--timeout", "0.8",
-             "--out", str(out)]
-        )
-        assert code == 124
-        doc = json.loads(out.read_text())
-        assert doc["partial"] is True
-        assert "aborted (timeout)" in capsys.readouterr().err
-
-    def test_rt_cli_timeout_partial_doc(self, tmp_path, capsys):
-        out = tmp_path / "partial_rt.json"
-        code = rt_main(["--duration", "60", "--timeout", "0.6", "--out", str(out)])
+        code = rt_main([command, *long_run, "--timeout", "0.6", "--out", str(out)])
         assert code == 124
         assert json.loads(out.read_text())["partial"] is True
+        assert "aborted (timeout)" in capsys.readouterr().err
 
     def test_cli_rejects_bad_usage(self, capsys):
-        assert serve_main(["--nodes", "1"]) == 2
-        assert serve_main(["--timeout", "0"]) == 2
-        assert serve_main(["--servers", "9"]) == 2
-        assert rt_main(["--timeout", "-1"]) == 2
+        # a missing or unknown subcommand is argparse's usage error
+        for argv in ([], ["gossip"]):
+            with pytest.raises(SystemExit) as exit_:
+                rt_main(argv)
+            assert exit_.value.code == 2
         capsys.readouterr()
+
+    def test_subcommands_keep_their_predecessors_options(self):
+        parser = build_parser()
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        for name, expected in PREDECESSOR_OPTIONS.items():
+            options = [
+                option
+                for action in commands.choices[name]._actions
+                for option in action.option_strings
+            ]
+            assert sorted(options) == sorted(expected), name
+        # the defaults that differ between subcommands survived the merge
+        assert parser.parse_args(["cluster"]).period == 0.25
+        assert parser.parse_args(["serve"]).period == 0.1
+        assert parser.parse_args(["strata"]).period == 0.25
+        assert parser.parse_args(["cluster"]).shape == "line"
+        assert parser.parse_args(["serve"]).shape == "full"
 
     def test_sigint_exits_130_with_partial_archive(self, tmp_path):
         out = tmp_path / "sigint.json"
@@ -526,7 +586,7 @@ class TestCliRobustness:
             p for p in ("src", env.get("PYTHONPATH")) if p
         )
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.rt.serve_cli",
+            [sys.executable, "-m", "repro.rt.cli", "serve",
              "--duration", "60", "--clients", "1", "--out", str(out)],
             env=env,
             stdout=subprocess.PIPE,

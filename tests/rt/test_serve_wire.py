@@ -253,10 +253,10 @@ class TestClockHygiene:
         import ast
         import inspect
 
-        from repro.rt import cli, client, loadgen, serve, serve_cli
+        from repro.rt import cli, client, loadgen, serve
 
         banned = {("time", "time"), ("datetime", "now"), ("datetime", "utcnow")}
-        for module in (serve, client, loadgen, cli, serve_cli):
+        for module in (serve, client, loadgen, cli):
             tree = ast.parse(inspect.getsource(module))
             for node in ast.walk(tree):
                 if not isinstance(node, ast.Call):

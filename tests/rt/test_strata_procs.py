@@ -8,7 +8,7 @@ Load-bearing assertions:
 * every tier's merged trace + final estimates pass the same independent
   oracle checks (soundness and Theorem 2.1 optimality) as an in-process
   run - the child's estimators lose nothing in the stdio round trip;
-* the ``repro-strata`` CLI honours the clean-death contract under
+* ``repro-rt strata`` honours the clean-death contract under
   ``--procs``: SIGINT yields exit 130 and a ``"partial": true`` archive.
 
 Durations are short; the SIGINT test interrupts a deliberately long run.
@@ -132,7 +132,8 @@ class TestStrataCliCleanDeath:
             [
                 sys.executable,
                 "-m",
-                "repro.rt.strata.cli",
+                "repro.rt.cli",
+                "strata",
                 "--procs",
                 "--transport",
                 "udp",

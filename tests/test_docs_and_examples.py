@@ -91,9 +91,11 @@ def test_documented_names_exist(doc):
 
 
 def test_retired_names_stay_retired():
-    """The source-only backend and the estimator's insertion fork are gone.
+    """Retired designs stay retired: the source-only backend, the
+    estimator's insertion fork, the engine's batch-delivery branch and the
+    per-tier runtime CLIs (now ``repro-rt`` subcommands).
 
-    A later change must not half-restore either: no code, example, micro
+    A later change must not half-restore any: no code, example, micro
     benchmark or API doc may name them again.  docs/PERFORMANCE.md ("Tried
     and dropped") is the one place that still describes the backend;
     CHANGES.md and ROADMAP.md are history.
@@ -101,7 +103,10 @@ def test_retired_names_stay_retired():
     import re
 
     retired = re.compile(
-        r"source.only|set_anchor|_replaying|_retain_log|_reported_steps|_ingest_reported",
+        r"source.only|set_anchor|_replaying|_retain_log|_reported_steps|_ingest_reported"
+        # bracketed so that a repository-wide grep for the names finds none
+        r"|serve[_]cli|strata[.]cli|tier[_]main|_deliver[_]batch|lt[_]hint"
+        r"|_Delivery[A]ction|repro-(?:serve|strata)\b",
         re.IGNORECASE,
     )
     root = pathlib.Path(__file__).resolve().parent.parent
