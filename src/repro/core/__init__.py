@@ -31,7 +31,6 @@ from .distances import (
     bellman_ford_to,
     find_negative_cycle,
     floyd_warshall,
-    prune_negative_cycles,
 )
 from .errors import (
     EstimateUnavailableError,
@@ -131,7 +130,6 @@ __all__ = [
     "extremal_execution",
     "find_negative_cycle",
     "floyd_warshall",
-    "prune_negative_cycles",
     "incident_sync_edges",
     "link_id",
     "relative_bounds",

@@ -73,9 +73,10 @@ __all__ = [
 #:   shared sighting, is what evicts).
 #: * 0.0 - ledger-only: shapes that honest processors legitimately
 #:   produce downstream of *someone else's* quarantine (a receive whose
-#:   send was refused here, echoes).  Blaming these lets one liar get
-#:   its honest neighbors evicted - the chaos suite's first Byzantine
-#:   run demonstrated exactly that cascade.
+#:   send was refused here, echoes - including a forged copy of the
+#:   receiver's own event that an honest relay passes back).  Blaming
+#:   these lets one liar get its honest neighbors evicted - the chaos
+#:   suite's first Byzantine run demonstrated exactly that cascade.
 DEFAULT_BLAME_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("implausible", 3.0),
     ("equivocation", 3.0),
@@ -88,6 +89,7 @@ DEFAULT_BLAME_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("quarantine", 1.0),
     ("phantom-send", 1.0),
     ("dangling-send", 0.0),
+    ("echoed-self", 0.0),
     ("bad-send-ref", 0.0),
     ("double-delivery", 0.0),
     ("bad-flag", 0.0),

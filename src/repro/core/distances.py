@@ -26,7 +26,6 @@ __all__ = [
     "bellman_ford_to",
     "find_negative_cycle",
     "floyd_warshall",
-    "prune_negative_cycles",
 ]
 
 INF = math.inf
@@ -65,12 +64,6 @@ class WeightedDigraph:
         if weight < current:
             self._succ[u][v] = weight
             self._pred[v][u] = weight
-
-    def remove_edge(self, u: NodeKey, v: NodeKey) -> None:
-        """Remove edge ``u -> v``; a no-op when the edge is absent."""
-        if v in self._succ.get(u, {}):
-            del self._succ[u][v]
-            del self._pred[v][u]
 
     def remove_node(self, node: NodeKey) -> None:
         for v in list(self._succ.get(node, ())):
@@ -252,28 +245,6 @@ def find_negative_cycle(
                     in_queue.add(v)
                     queue.append(v)
     return None
-
-
-def prune_negative_cycles(
-    graph: WeightedDigraph,
-) -> List[Tuple[NodeKey, NodeKey, float]]:
-    """Remove edges in place until ``graph`` has no negative cycle.
-
-    Per cycle found, the most negative edge is removed - in a
-    synchronization graph that is the constraint most at odds with the
-    rest of the evidence (e.g. the upper-bound edge of an out-of-spec late
-    message).  Dropping constraints is always *sound*: distances can only
-    grow, so derived clock bounds only widen.  Returns the removed edges,
-    in removal order - the degraded-mode quarantine record.
-    """
-    removed: List[Tuple[NodeKey, NodeKey, float]] = []
-    while True:
-        cycle = find_negative_cycle(graph)
-        if cycle is None:
-            return removed
-        u, v, w = min(cycle, key=lambda edge: edge[2])
-        graph.remove_edge(u, v)
-        removed.append((u, v, w))
 
 
 def floyd_warshall(graph: WeightedDigraph) -> Dict[NodeKey, Dict[NodeKey, float]]:

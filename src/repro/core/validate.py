@@ -20,7 +20,10 @@ Checks, in order:
 * **monotonicity** - claimed local clocks strictly increase per processor;
 * **conflicts/equivocation** - a record disagreeing with a copy the
   receiver already holds is the signature of the *originating* processor
-  telling different stories to different peers;
+  telling different stories to different peers - unless the origin is
+  the receiver itself (``echoed-self``): then a relay echoed someone's
+  forgery of the receiver's event, and the origin is the one processor
+  known to be innocent;
 * **causal-past closure** - receives reference sends that are known, carried
   by the same payload, or at least attributable when they are not;
 * **forged-self** - no payload may claim events of the *receiving*
@@ -85,6 +88,7 @@ FAILURE_KINDS: Tuple[str, ...] = (
     "non-monotone",  # claimed local clock not increasing -> origin
     "forged-self",  # claims the receiver's own future events -> sender
     "equivocation",  # conflicts with a copy the receiver holds -> origin
+    "echoed-self",  # forged copy of the receiver's own event -> sender, weight 0
     "conflict",  # two contradictory copies in one payload -> sender
     "dangling-send",  # receive of an unknown send -> sender (origin when suspected)
     "bad-send-ref",  # receive of a known non-send event -> referenced origin
@@ -326,14 +330,25 @@ class _Screen:
         """A record the receiver already learned: only equivocation to check."""
         stored = self.knowledge.lookup(record.eid)
         if stored is not None and stored != record:
-            self.fail(
-                "equivocation",
-                (record.proc,),
-                f"record {record.eid} conflicts with the receiver's copy: "
-                f"held {stored}, offered {record} "
-                f"(originating processor {record.proc!r})",
-                record,
-            )
+            if record.proc == self.receiver:
+                # the receiver's copy of its own event is the authentic one;
+                # the forgery came back through a relay that cannot tell
+                self.fail(
+                    "echoed-self",
+                    (self.sender,),
+                    f"payload echoes a forged copy of {self.receiver!r}'s own "
+                    f"event {record.eid}: held {stored}, offered {record}",
+                    record,
+                )
+            else:
+                self.fail(
+                    "equivocation",
+                    (record.proc,),
+                    f"record {record.eid} conflicts with the receiver's copy: "
+                    f"held {stored}, offered {record} "
+                    f"(originating processor {record.proc!r})",
+                    record,
+                )
             self.reject(record)
             return
         # matching (or unverifiable) duplicate: keep it so protocol

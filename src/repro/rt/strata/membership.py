@@ -116,33 +116,6 @@ class PeerDirectory:
     def __len__(self) -> int:
         return len(self._tiers)
 
-    def to_dict(self) -> Dict:
-        """JSON shape for shipping the book to another OS process."""
-        return {
-            "host": self.host,
-            "endpoints": [
-                {
-                    "name": name,
-                    "tier": self._tiers[name],
-                    "host": self.addresses[name][0],
-                    "port": self.addresses[name][1],
-                }
-                for name in self._tiers
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "PeerDirectory":
-        directory = cls(host=data.get("host", "127.0.0.1"))
-        for entry in data["endpoints"]:
-            directory.register(
-                entry["name"],
-                tier=entry.get("tier"),
-                host=entry["host"],
-                port=int(entry["port"]),
-            )
-        return directory
-
 
 @dataclass(frozen=True)
 class TierSpec:

@@ -15,7 +15,8 @@ know which implementation is underneath:
   simulator's :class:`~repro.sim.faults.ActiveFaults` verdicts
   (crash windows, partitions, bursts, duplication with echo delay,
   delay excursions) keyed by the shared :class:`~repro.rt.clock.TimeBase`
-  elapsed time.  One fault vocabulary, two execution engines.
+  elapsed time.  One fault vocabulary, two execution engines; a plan
+  holding an injection that acts above the transport is refused.
 * :class:`UDPTransport` - one datagram socket per registered endpoint;
   real kernel-level UDP on localhost or a LAN.
 
@@ -33,7 +34,13 @@ from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..core.errors import SimulationError
 from ..core.events import ProcessorId, link_id
-from ..sim.faults import FaultPlan
+from ..sim.faults import (
+    ByzantineProcessor,
+    DriftExcursion,
+    FaultPlan,
+    LateJoin,
+    StateCorruption,
+)
 from .clock import TimeBase
 
 __all__ = [
@@ -131,6 +138,16 @@ class _FaultTopology:
         self.source = source
 
 
+#: injections that act on something above the transport, and why the
+#: live runtime refuses them rather than run the plan without them
+_ABOVE_THE_TRANSPORT = {
+    DriftExcursion: "clocks live above the transport; use a drifting ClockSource",
+    ByzantineProcessor: "lies rewrite payloads before encoding; the live node has no liar",
+    StateCorruption: "it scrambles estimator state, which the transport never sees",
+    LateJoin: "live joins go through ClusterConfig.joins",
+}
+
+
 class FaultMiddleware(Transport):
     """Apply a simulator :class:`FaultPlan` to a live transport.
 
@@ -145,6 +162,10 @@ class FaultMiddleware(Transport):
     sender's ack timer fires, retransmission kicks in, and the estimator
     sees ``on_loss_detected`` - the PR 1 machinery exercised end-to-end
     over an actual transport.
+
+    A plan holding an injection in :data:`_ABOVE_THE_TRANSPORT` raises
+    :class:`~repro.core.errors.SimulationError`: a live run that silently
+    dropped a liar or a corruption would pass for an adversarial one.
     """
 
     def __init__(
@@ -158,15 +179,12 @@ class FaultMiddleware(Transport):
         source: ProcessorId,
     ):
         super().__init__()
-        if plan.has_out_of_spec():
-            # delay excursions are representable (they just delay frames) but
-            # drift excursions act on clocks, which live above the transport
-            for injection in plan.injections:
-                if type(injection).__name__ == "DriftExcursion":
-                    raise SimulationError(
-                        "FaultMiddleware cannot apply drift excursions; "
-                        "use a drifting ClockSource instead"
-                    )
+        for injection in plan.injections:
+            why = _ABOVE_THE_TRANSPORT.get(type(injection))
+            if why is not None:
+                raise SimulationError(
+                    f"FaultMiddleware cannot apply {type(injection).__name__}: {why}"
+                )
         self.inner = inner
         self.active = plan.bind(_FaultTopology(procs, links, source))
         self.time_base = time_base

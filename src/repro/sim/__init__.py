@@ -47,10 +47,11 @@ from .faults import (
     RetransmitPolicy,
     StateCorruption,
     scramble_estimator,
+    tamper,
 )
 from .network import LinkConfig, Network, topologies
 from .runner import EstimateSample, RunResult, run_workload, standard_network
-from .schedule import CHURN_OPS, Schedule, ScheduleHarness, TamperSpec
+from .schedule import CHURN_OPS, Schedule, ScheduleHarness
 from .serialize import dump_run, load_run
 from .trace import ExecutionTrace, TracedEvent
 
@@ -85,12 +86,12 @@ __all__ = [
     "SinusoidalDriftClock",
     "Simulation",
     "StateCorruption",
-    "TamperSpec",
     "TracedEvent",
     "dump_run",
     "load_run",
     "run_workload",
     "scramble_estimator",
     "standard_network",
+    "tamper",
     "topologies",
 ]

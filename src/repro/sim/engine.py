@@ -301,7 +301,7 @@ class Simulation:
         # trace and all baseline RNG draws are untouched, so a run with a
         # liar is timing-identical to the honest run.
         if self.faults is not None:
-            payloads = self.faults.tamper_payloads(src, dest, self.now, payloads)
+            payloads = self.faults.tamper_payloads(send_event, self.now, payloads)
         message = Message(
             send_event=send_event, payloads=payloads, info=info, attempt=_attempt
         )

@@ -53,7 +53,9 @@ decisions (burst-loss transitions, duplication draws, echo delays) come
 from that private stream.  The engine's baseline draws (i.i.d. loss,
 in-spec delay sampling) keep their order, so attaching a plan with no
 injections leaves an execution *bit-identical* to a run without one - the
-chaos suite asserts this.
+chaos suite asserts this.  Byzantine lies draw from no stream at all:
+:func:`tamper` hashes the plan seed with what each choice concerns, so a
+liar changes payload contents and nothing else.
 
 **Retransmission.**  :class:`RetransmitPolicy` turns the Sec 3.3 loss
 *assumption* into an actual protocol: every application send arms a
@@ -66,10 +68,11 @@ message with a fresh payload, with exponential backoff up to a retry cap.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.errors import SimulationError
 from ..core.events import Event, EventId, EventKind, ProcessorId, link_id
@@ -84,6 +87,7 @@ __all__ = [
     "DriftExcursion",
     "ByzantineProcessor",
     "BYZANTINE_MODES",
+    "tamper",
     "StateCorruption",
     "LateJoin",
     "CORRUPTION_SCOPES",
@@ -223,28 +227,28 @@ class ByzantineProcessor:
     ``modes`` is a non-empty subset of :data:`BYZANTINE_MODES`:
 
     * ``lie_timestamps`` - claimed local times of own records are skewed by
-      a growing *rate* error: ``claimed = lt + magnitude * (lt - anchor)``
-      where ``anchor`` is the local time of the first tampered record.  A
-      rate skew is chosen deliberately: a *constant* offset lie provably
-      cancels around every cycle of the sync graph (each cycle enters and
-      leaves the liar equally often), so it is both undetectable and
-      harmless for external synchronization.  Only inconsistent lies can
-      poison bounds - and those are exactly what negative-cycle detection
-      catches.
-    * ``equivocate`` - as ``lie_timestamps``, but with a different skew
-      factor per destination, so neighbors receive mutually inconsistent
-      copies of the same events (detected when relayed copies meet).
+      a growing *rate* error: ``claimed = lt + magnitude * (lt - start)``
+      (no skew before ``start``).  A rate skew is chosen deliberately: a
+      *constant* offset lie provably cancels around every cycle of the
+      sync graph (each cycle enters and leaves the liar equally often), so
+      it is both undetectable and harmless for external synchronization.
+      Only inconsistent lies can poison bounds - and those are exactly
+      what negative-cycle detection catches.
+    * ``equivocate`` - as ``lie_timestamps``, but the skew is scaled by a
+      factor in ``[0.5, 1.5)`` drawn per destination, so neighbors receive
+      mutually inconsistent copies of the same events (detected when
+      relayed copies meet).
     * ``truncate`` - each shipped record is silently dropped with
       probability ``rate`` (receivers see sequence gaps no honest sender
       could produce).
-    * ``fabricate`` - with probability ``rate`` per payload, invented
-      internal events are appended after the liar's last genuine record,
-      squatting on sequence numbers its real future events will also use.
+    * ``fabricate`` - with probability ``rate`` per payload, one or two
+      invented internal events are appended after the liar's last genuine
+      record, squatting on sequence numbers its real future events will
+      also use.
 
-    The same lie for the same event id (and destination, under
-    equivocation) is repeated on re-reports, so the liar stays
-    *self-consistent* - the hardest case for a validator.  The source is
-    never allowed to be Byzantine: its clock defines real time.
+    :func:`tamper` applies the modes.  A re-report repeats a lie, so the
+    liar stays *self-consistent* - the hardest case for a validator.  The
+    source is never Byzantine: its clock defines real time.
     """
 
     proc: ProcessorId
@@ -275,6 +279,68 @@ class ByzantineProcessor:
             )
         if not (0 <= self.rate <= 1):
             raise SimulationError(f"byzantine rate must be in [0, 1], got {self.rate}")
+
+
+def _draw(*key) -> float:
+    """A uniform draw in ``[0, 1)`` that is a pure function of ``key``.
+
+    ``repr`` of ints, floats, strings and event ids is stable across
+    processes (unlike ``hash`` of a string), so every replay draws the same.
+    """
+    digest = hashlib.blake2b(repr(key).encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "big") / 2.0**64
+
+
+def tamper(
+    liar: ByzantineProcessor, seed: int, send_event: Event, payload: object
+) -> object:
+    """The payload ``liar`` ships with ``send_event``, after its lies.
+
+    Pure: no cache, no RNG stream.  Every choice is a hash of ``seed``,
+    the liar and what the choice concerns.  The lie about an own record
+    depends on its local time and, under ``equivocate``, on the
+    destination - never on the carrying send, so a re-report repeats it.
+    Truncating a record depends on the record, the destination and the
+    carrying send; fabricating (whether, how many, at what local times)
+    on the carrying send.
+
+    A payload of another sender, a payload that is not a
+    :class:`~repro.core.history.HistoryPayload` (the full-information
+    reference has no hardening to test), and a payload the modes leave
+    unchanged come back as the same object.  The caller checks the
+    ``[start, end)`` window.
+    """
+    if send_event.proc != liar.proc or not isinstance(payload, HistoryPayload):
+        return payload
+    proc, dest, modes = liar.proc, send_event.dest, liar.modes
+    skew = 0.0
+    if "lie_timestamps" in modes or "equivocate" in modes:
+        skew = liar.magnitude
+        if "equivocate" in modes:
+            skew *= 0.5 + _draw(seed, proc, dest)
+
+    def claimed(lt: float) -> float:
+        return lt + skew * max(lt - liar.start, 0.0)
+
+    records: List[Event] = []
+    for record in payload.records:
+        if "truncate" in modes and (
+            _draw(seed, proc, record.eid, dest, send_event.eid) < liar.rate
+        ):
+            continue
+        if record.proc == proc and skew and record.lt > liar.start:
+            record = dataclasses.replace(record, lt=claimed(record.lt))
+        records.append(record)
+    own = [record for record in payload.records if record.proc == proc]
+    if own and "fabricate" in modes and _draw(seed, proc, send_event.eid) < liar.rate:
+        last = max(own, key=lambda record: record.seq)
+        lt = claimed(last.lt)
+        for i in range(1 + (_draw(seed, proc, send_event.eid, "twice") < 0.5)):
+            lt += 0.05 + 0.45 * _draw(seed, proc, send_event.eid, i)
+            records.append(Event(EventId(proc, last.seq + 1 + i), lt, EventKind.INTERNAL))
+    if tuple(records) == tuple(payload.records):
+        return payload
+    return HistoryPayload(records=tuple(records), loss_flags=payload.loss_flags)
 
 
 #: state-corruption scopes the churn fault model can scramble (which
@@ -414,9 +480,6 @@ def _scramble_ledger(estimator, rng: random.Random) -> bool:
 #: injection kinds that violate the advertised specification
 _OUT_OF_SPEC = (DelayExcursion, DriftExcursion)
 
-#: injection kinds that are adversarial (lying), not merely out-of-spec
-_ADVERSARIAL = (ByzantineProcessor,)
-
 
 @dataclass(frozen=True)
 class RetransmitPolicy:
@@ -504,21 +567,13 @@ class FaultPlan:
 
     def has_adversarial(self) -> bool:
         """Whether any injection makes a processor lie (Byzantine)."""
-        return any(isinstance(i, _ADVERSARIAL) for i in self.injections)
+        return any(isinstance(i, ByzantineProcessor) for i in self.injections)
 
     def byzantine_procs(self) -> Tuple[ProcessorId, ...]:
         """The processors with a Byzantine injection, sorted, deduplicated."""
         return tuple(
             sorted({i.proc for i in self.injections if isinstance(i, ByzantineProcessor)})
         )
-
-    def corruptions(self) -> List["StateCorruption"]:
-        """The state-corruption injections, in plan order."""
-        return self.of_kind(StateCorruption)
-
-    def late_joins(self) -> List["LateJoin"]:
-        """The late-join injections, in plan order."""
-        return self.of_kind(LateJoin)
 
     def bind(self, network) -> "ActiveFaults":
         """Validate the plan against ``network`` and create runtime state."""
@@ -612,10 +667,6 @@ class ActiveFaults:
         self._corruptions: List[StateCorruption] = []
         #: per-processor late-join injection (at most one per processor)
         self._late_joins: Dict[ProcessorId, LateJoin] = {}
-        #: cached claimed local time per (event id, destination-or-None)
-        self._lie_lt: Dict[Tuple[EventId, Optional[ProcessorId]], float] = {}
-        #: local time of the first tampered record per liar (lie anchor)
-        self._lie_anchor: Dict[ProcessorId, float] = {}
 
         def check_proc(proc):
             if proc not in procs:
@@ -811,98 +862,36 @@ class ActiveFaults:
     # -- Byzantine payload tampering -----------------------------------------------
 
     def tamper_payloads(
-        self,
-        src: ProcessorId,
-        dest: ProcessorId,
-        rt: float,
-        payloads: Dict[str, object],
+        self, send_event: Event, rt: float, payloads: Dict[str, object]
     ) -> Dict[str, object]:
-        """Apply ``src``'s Byzantine modes to its outgoing payloads, if any.
+        """Apply the sender's Byzantine modes (:func:`tamper`) to its payloads.
 
-        When ``src`` has no active Byzantine injection the input mapping is
-        returned unchanged and **no randomness is consumed**, so plans
-        without adversarial injections keep executions bit-identical.  Only
-        :class:`~repro.core.history.HistoryPayload` values are tampered;
-        other payload types (e.g. the full-information estimator's
-        ``View``) pass through untouched - the full-information reference
-        has no hardening and exists to define ground truth, not to survive
-        liars.
+        When the sender has no active Byzantine injection the input mapping
+        is returned unchanged, so plans without a liar cost one dict lookup
+        and keep executions bit-identical.
         """
-        byz = self._byzantine.get(src)
+        byz = self._byzantine.get(send_event.proc)
         if byz is None or not (byz.start <= rt < byz.end):
             return payloads
         out = {}
-        changed = False
         for name, payload in payloads.items():
-            tampered = self._tamper_one(byz, dest, payload)
-            changed = changed or tampered is not payload
-            out[name] = tampered
-        if changed:
-            self.injected["tampered_payloads"] += 1
+            out[name] = tamper(byz, self.plan.seed, send_event, payload)
+            if out[name] is not payload:
+                self._count(byz, payload, out[name])
         return out
 
-    def _tamper_one(self, byz: ByzantineProcessor, dest: ProcessorId, payload):
-        if not isinstance(payload, HistoryPayload):
-            return payload
-        records: List[Event] = []
-        mutated = False
-        for record in payload.records:
-            if "truncate" in byz.modes and self.rng.random() < byz.rate:
+    def _count(self, byz: ByzantineProcessor, before, after: HistoryPayload) -> None:
+        """Tally what :func:`tamper` changed in one payload."""
+        self.injected["tampered_payloads"] += 1
+        shipped = {record.eid: record for record in after.records}
+        for record in before.records:
+            kept = shipped.pop(record.eid, None)
+            if kept is None:
                 self.injected["truncated_records"] += 1
-                mutated = True
-                continue
-            if record.eid.proc == byz.proc:
-                claimed = self._claimed_lt(byz, dest, record)
-                if claimed != record.lt:
-                    record = dataclasses.replace(record, lt=claimed)
-                    mutated = True
-            records.append(record)
-        if "fabricate" in byz.modes and self.rng.random() < byz.rate:
-            own = [r for r in records if r.eid.proc == byz.proc]
-            if own:
-                last = max(own, key=lambda r: r.eid.seq)
-                lt = max(r.lt for r in own)
-                for i in range(1 + (self.rng.random() < 0.5)):
-                    lt += self.rng.uniform(0.05, 0.5)
-                    records.append(
-                        Event(EventId(byz.proc, last.eid.seq + 1 + i), lt, EventKind.INTERNAL)
-                    )
-                    self.injected["fabricated_records"] += 1
-                    mutated = True
-        if not mutated:
-            return payload
-        return HistoryPayload(records=tuple(records), loss_flags=payload.loss_flags)
-
-    def _claimed_lt(self, byz: ByzantineProcessor, dest: ProcessorId, record: Event) -> float:
-        """The (cached) lie told about ``record``'s local time to ``dest``.
-
-        Caching per event id - and per destination under equivocation -
-        keeps the liar self-consistent across re-reports and
-        retransmissions, which is the hardest case for the validator.
-        """
-        lying = "lie_timestamps" in byz.modes or "equivocate" in byz.modes
-        if not lying:
-            return record.lt
-        key = (record.eid, dest if "equivocate" in byz.modes else None)
-        cached = self._lie_lt.get(key)
-        if cached is not None:
-            return cached
-        anchor = self._lie_anchor.setdefault(byz.proc, record.lt)
-        factor = 1.0
-        if "equivocate" in byz.modes:
-            # deterministic per (liar, dest) so the factor does not depend
-            # on message interleaving; Random() rejects tuple seeds, so key
-            # the stream by string
-            factor = random.Random(
-                f"{self.plan.seed}:{byz.proc}:{dest}"
-            ).uniform(0.5, 1.5)
-        claimed = record.lt + byz.magnitude * factor * max(record.lt - anchor, 0.0)
-        self._lie_lt[key] = claimed
-        if claimed != record.lt:
-            self.injected["lied_timestamps"] += 1
-            if "equivocate" in byz.modes:
-                self.injected["equivocations"] += 1
-        return claimed
+            elif kept.lt != record.lt:
+                self.injected["lied_timestamps"] += 1
+                self.injected["equivocations"] += "equivocate" in byz.modes
+        self.injected["fabricated_records"] += len(shipped)
 
     def note_crash_suppressed_send(self) -> None:
         self.injected["crash_suppressed_sends"] += 1

@@ -82,24 +82,13 @@ class RunResult:
             return float("inf")
         return sum(widths) / len(widths)
 
-    # -- robustness reporting (quarantine / suspicion / validation) ----------------
+    # -- robustness reporting (suspicion / validation) -----------------------------
 
     def _each_estimator(self, channel: Optional[str]):
         for proc, sp in self.sim.processors.items():
             for name, estimator in sp.estimators.items():
                 if channel is None or name == channel:
                     yield proc, name, estimator
-
-    def quarantine_diagnostics(self, channel: Optional[str] = None) -> Dict[
-        Tuple[ProcessorId, str], list
-    ]:
-        """Per ``(observer, channel)``: quarantined-edge diagnostics, if any."""
-        out: Dict[Tuple[ProcessorId, str], list] = {}
-        for proc, name, estimator in self._each_estimator(channel):
-            diagnostics = list(getattr(estimator, "diagnostics", ()) or ())
-            if diagnostics:
-                out[(proc, name)] = diagnostics
-        return out
 
     def eviction_events(self, channel: Optional[str] = None) -> Dict[
         Tuple[ProcessorId, str], list

@@ -8,24 +8,23 @@ the point: a schedule replays bit-identically, so any divergence found by
 the differential driver can be committed to the corpus and replayed
 forever (see ``docs/TESTING.md``).
 
-A schedule may carry a :class:`TamperSpec` describing a single Byzantine
-processor.  Tampering mutates only the history payloads the liar ships
-(never the events of the real execution and never the full-information
-reference's view payloads, mirroring
-:meth:`repro.sim.faults.ActiveFaults.tamper_payloads`), and every lie is a
-deterministic function of the schedule - no RNG - so tampered runs replay
-exactly too.
+A schedule may carry one liar (``tamper``), a
+:class:`~repro.sim.faults.ByzantineProcessor` - the spec the seeded
+simulator uses.  The harness applies it with the simulator's own pure
+:func:`~repro.sim.faults.tamper` under one fixed seed.  Only the history
+payloads the liar ships change (never the events of the real execution,
+never the full-information reference's view payloads), and every lie is
+a hash of what it concerns, so tampered runs replay exactly too.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..core.csa import EfficientCSA
 from ..core.csa_full import FullInformationCSA
@@ -33,74 +32,13 @@ from ..core.events import Event, EventId, EventKind, ProcessorId
 from ..core.history import HistoryPayload
 from ..core.specs import DriftSpec, SystemSpec, TransitSpec
 from ..core.view import View
-from .faults import CORRUPTION_SCOPES, scramble_estimator
+from .faults import CORRUPTION_SCOPES, ByzantineProcessor, scramble_estimator, tamper
 
 __all__ = [
     "Schedule",
     "ScheduleHarness",
-    "TamperSpec",
-    "TAMPER_MODES",
     "CHURN_OPS",
 ]
-
-#: Byzantine payload mutations a :class:`TamperSpec` may combine.  The
-#: deterministic counterparts of :data:`repro.sim.faults.BYZANTINE_MODES`
-#: ("lie" ~ lie_timestamps, "equivocate", "truncate"); fabrication is left
-#: to the seeded chaos path, which owns the RNG needed for fresh events.
-TAMPER_MODES = ("lie", "equivocate", "truncate")
-
-
-@dataclass(frozen=True)
-class TamperSpec:
-    """One Byzantine processor, described without any randomness.
-
-    ``liar`` is the processor index (never 0 - the source is the trust
-    anchor).  Every ``period``-th history payload the liar ships is
-    tampered according to ``modes``:
-
-    * ``"lie"`` - the liar's own records get ``lt + magnitude`` (cached
-      per event so the liar stays self-consistent across re-reports, the
-      hardest case for the validator);
-    * ``"equivocate"`` - like ``"lie"``, but the offset is
-      ``magnitude * (1 + dest_index)``: different destinations hear
-      different clocks;
-    * ``"truncate"`` - the newest record is silently dropped, planting a
-      gap the receiver only notices on the next payload.
-    """
-
-    liar: int
-    modes: Tuple[str, ...]
-    magnitude: float = 0.5
-    period: int = 2
-
-    def __post_init__(self):
-        if self.liar <= 0:
-            raise ValueError("the source (index 0) cannot be the liar")
-        if not self.modes:
-            raise ValueError("a tamper spec needs at least one mode")
-        bad = set(self.modes) - set(TAMPER_MODES)
-        if bad:
-            raise ValueError(f"unknown tamper modes {sorted(bad)}")
-        if self.period < 1:
-            raise ValueError("tamper period must be >= 1")
-
-    def to_dict(self) -> Dict:
-        return {
-            "liar": self.liar,
-            "modes": list(self.modes),
-            "magnitude": self.magnitude,
-            "period": self.period,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "TamperSpec":
-        return cls(
-            liar=int(data["liar"]),
-            modes=tuple(data["modes"]),
-            magnitude=float(data["magnitude"]),
-            period=int(data["period"]),
-        )
-
 
 #: Step kinds a schedule may contain.  Every step is a 4-tuple
 #: ``(op, src, dest, dt)``: advance real time by ``dt``, then apply ``op``
@@ -134,6 +72,20 @@ CHURN_OPS = ("join", "leave", "rejoin", "corrupt", "link_down", "link_up")
 _PURGING_OPS = ("leave", "rejoin", "link_down", "link_up")
 
 
+#: the plan seed the harness hands :func:`~repro.sim.faults.tamper`
+_TAMPER_SEED = 0
+
+
+def _liar_to_dict(liar: ByzantineProcessor) -> Dict:
+    """The liar's fields that differ from their defaults (JSON-safe: the
+    default open-ended window is never written as ``Infinity``)."""
+    return {
+        f.name: list(value) if f.name == "modes" else value
+        for f in fields(liar)
+        if (value := getattr(liar, f.name)) != f.default
+    }
+
+
 @dataclass(frozen=True)
 class Schedule:
     """A deterministic protocol schedule over hidden affine clocks.
@@ -150,7 +102,7 @@ class Schedule:
     edges: Tuple[Tuple[int, int], ...]
     steps: Tuple[Tuple, ...]
     lossy: bool = False
-    tamper: Optional[TamperSpec] = None
+    tamper: Optional[ByzantineProcessor] = None
     #: processors present from the start (indices); ``None`` means all.
     #: Absent processors can only enter via a ``join`` step.  Must contain
     #: 0 - the source anchors real time and cannot join late.
@@ -206,8 +158,11 @@ class Schedule:
             elif op in ("leave", "rejoin"):
                 if not (0 <= u < n):
                     raise ValueError(f"bad processor index in step {step}")
-        if self.tamper is not None and self.tamper.liar >= n:
-            raise ValueError("tamper liar index out of range")
+        if self.tamper is not None and self.tamper.proc not in self.names[1:]:
+            raise ValueError(
+                f"the liar {self.tamper.proc!r} is not a non-source processor "
+                f"of {self.names}"
+            )
 
     @property
     def n_procs(self) -> int:
@@ -225,7 +180,7 @@ class Schedule:
             "edges": [list(e) for e in self.edges],
             "steps": [[op, u, v, dt] for op, u, v, dt in self.steps],
             "lossy": self.lossy,
-            "tamper": None if self.tamper is None else self.tamper.to_dict(),
+            "tamper": None if self.tamper is None else _liar_to_dict(self.tamper),
         }
         if self.initial is not None:
             data["initial"] = list(self.initial)
@@ -245,7 +200,7 @@ class Schedule:
             tamper=(
                 None
                 if data.get("tamper") is None
-                else TamperSpec.from_dict(data["tamper"])
+                else ByzantineProcessor(**data["tamper"])
             ),
             initial=None if initial is None else tuple(int(i) for i in initial),
         )
@@ -348,15 +303,8 @@ class ScheduleHarness:
         #: yet recovered (skipped by end-of-run checks if still dirty)
         self.dirty: Set[ProcessorId] = set()
         self._corrupt_count = 0
-        # -- deterministic tampering state --
-        self._tamper = schedule.tamper
-        self._liar: Optional[ProcessorId] = (
-            self.names[self._tamper.liar] if self._tamper is not None else None
-        )
-        if self._liar is not None:
-            self.tainted.add(self._liar)
-        self._payload_count = 0
-        self._lie_lt: Dict[Tuple[EventId, Optional[ProcessorId]], float] = {}
+        if schedule.tamper is not None:
+            self.tainted.add(schedule.tamper.proc)
 
     # -- clock plumbing ---------------------------------------------------------
 
@@ -384,9 +332,7 @@ class ScheduleHarness:
         if tuple(sorted((src, dest))) not in self.links_up:
             return
         event = self._next_event(src, EventKind.SEND, dest=dest)
-        payload = self.csas[src].on_send(event)
-        if src == self._liar:
-            payload = self._tamper_payload(dest, payload)
+        payload = self._lie(event, self.csas[src].on_send(event))
         full_payload = (
             self.fulls[src].on_send(event) if self.fulls else None
         )
@@ -480,9 +426,7 @@ class ScheduleHarness:
         if tuple(sorted((joiner, sponsor))) not in self.links_up:
             return None
         event = self._next_event(sponsor, EventKind.SEND, dest=joiner)
-        payload = self.csas[sponsor].on_send(event)
-        if sponsor == self._liar:
-            payload = self._tamper_payload(joiner, payload)
+        payload = self._lie(event, self.csas[sponsor].on_send(event))
         full_payload = self.fulls[sponsor].on_send(event) if self.fulls else None
         self._note_recovered(sponsor)
         snapshot = self.csas[sponsor].bootstrap_snapshot()
@@ -580,50 +524,11 @@ class ScheduleHarness:
             else:  # link_up
                 self.link_up(src, dest)
 
-    # -- deterministic Byzantine tampering --------------------------------------
+    # -- Byzantine tampering ------------------------------------------------------
 
-    def _tamper_payload(
-        self, dest: ProcessorId, payload: HistoryPayload
-    ) -> HistoryPayload:
-        """Apply the schedule's tamper spec to one outgoing payload.
-
-        Lies are cached per (event, destination) so the liar never
-        contradicts itself to the same listener; the cache is consulted on
-        every payload (not only firing ones) because an honest-looking
-        re-report of an already-told lie must repeat the lie.
-        """
-        tamper = self._tamper
-        self._payload_count += 1
-        firing = self._payload_count % tamper.period == 0
-        records: List[Event] = []
-        mutated = False
-        for record in payload.records:
-            if record.eid.proc == self._liar and (
-                "lie" in tamper.modes or "equivocate" in tamper.modes
-            ):
-                claimed = self._claimed_lt(dest, record, firing)
-                if claimed != record.lt:
-                    record = dataclasses.replace(record, lt=claimed)
-                    mutated = True
-            records.append(record)
-        if firing and "truncate" in tamper.modes and len(records) > 1:
-            records.pop()
-            mutated = True
-        if not mutated:
+    def _lie(self, send_event: Event, payload: HistoryPayload) -> HistoryPayload:
+        """``payload`` as the schedule's liar (if it sent it) ships it."""
+        liar = self.schedule.tamper
+        if liar is None or not (liar.start <= self.now < liar.end):
             return payload
-        return HistoryPayload(records=tuple(records), loss_flags=payload.loss_flags)
-
-    def _claimed_lt(self, dest: ProcessorId, record: Event, firing: bool) -> float:
-        equivocate = "equivocate" in self._tamper.modes
-        key = (record.eid, dest if equivocate else None)
-        cached = self._lie_lt.get(key)
-        if cached is not None:
-            return cached
-        if not firing:
-            return record.lt
-        offset = self._tamper.magnitude
-        if equivocate:
-            offset *= 1.0 + self.names.index(dest)
-        claimed = record.lt + offset
-        self._lie_lt[key] = claimed
-        return claimed
+        return tamper(liar, _TAMPER_SEED, send_event, payload)

@@ -50,7 +50,7 @@ from typing import Callable, List, Optional, Tuple
 from ..core.csa import EfficientCSA
 from ..core.csa_base import SuspicionPolicy
 from ..core.specs import SystemSpec
-from ..sim.schedule import Schedule, ScheduleHarness, TamperSpec
+from ..sim.schedule import Schedule, ScheduleHarness
 from .asserts import DEFAULT_TOLERANCE, bounds_equal, endpoint_equal
 from .invariants import InvariantViolation
 from .oracle import (
@@ -497,7 +497,7 @@ def minimize_schedule(
 
     Deliver/drop steps are no-ops when their queue is empty, so every step
     subsequence of a valid schedule is valid - the reduction loop can cut
-    freely.  After step reduction it tries dropping the tamper spec and
+    freely.  After step reduction it tries dropping the liar and
     flattening clock rates to 1.0.  ``is_interesting`` must accept the
     original schedule.
     """

@@ -3,10 +3,9 @@
 One library replaces the private generators that used to be copy-pasted
 across the integration fuzz files: random connected topologies, hidden
 clock-rate vectors, :class:`~repro.core.specs.SystemSpec`s, adversarial
-:class:`~repro.sim.schedule.Schedule`s (with optional loss and
-deterministic Byzantine tampering), seeded
-:class:`~repro.sim.faults.FaultPlan`s, and Byzantine injections for the
-simulator path.
+:class:`~repro.sim.schedule.Schedule`s (with optional loss and an
+optional liar), seeded :class:`~repro.sim.faults.FaultPlan`s, and the
+Byzantine injections both paths share.
 
 Everything drawn here is *in specification by construction*: rates sit
 inside the advertised drift band, links advertise only ``transit >= 0``,
@@ -24,7 +23,7 @@ environments without hypothesis installed.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -40,7 +39,7 @@ from ..sim.faults import (
     FaultPlan,
     PartitionWindow,
 )
-from ..sim.schedule import Schedule, TamperSpec, TAMPER_MODES
+from ..sim.schedule import Schedule
 
 __all__ = [
     "Topology",
@@ -52,7 +51,6 @@ __all__ = [
     "history_payloads",
     "schedules",
     "system_specs",
-    "tamper_specs",
     "topologies",
 ]
 
@@ -205,24 +203,6 @@ def history_payloads(
 
 
 @st.composite
-def tamper_specs(draw, n_procs: int) -> TamperSpec:
-    """Deterministic Byzantine tampering over one non-source liar."""
-    liar = draw(st.integers(min_value=1, max_value=n_procs - 1))
-    modes = tuple(
-        sorted(
-            draw(
-                st.sets(
-                    st.sampled_from(TAMPER_MODES), min_size=1, max_size=len(TAMPER_MODES)
-                )
-            )
-        )
-    )
-    magnitude = draw(st.floats(min_value=0.05, max_value=2.0, allow_nan=False))
-    period = draw(st.integers(min_value=1, max_value=3))
-    return TamperSpec(liar=liar, modes=modes, magnitude=magnitude, period=period)
-
-
-@st.composite
 def schedules(
     draw,
     *,
@@ -237,7 +217,8 @@ def schedules(
     """Adversarial protocol schedules (see :class:`~repro.sim.schedule.Schedule`).
 
     ``lossy`` admits drop steps (and runs estimators in unreliable mode);
-    ``tamper`` attaches a deterministic Byzantine tamper spec.  With
+    ``tamper`` attaches one liar (:func:`byzantine_processors` over the
+    non-source processors, lying for the whole run).  With
     ``drain`` a few extra delivery steps are appended per directed link so
     long-in-flight messages still tend to arrive - deliveries are where
     the differential checks run.
@@ -262,7 +243,9 @@ def schedules(
             for _ in range(draw(st.integers(min_value=0, max_value=3))):
                 dt = draw(st.floats(min_value=0.01, max_value=1.0, allow_nan=False))
                 steps.append(("deliver", u, v, dt))
-    spec = draw(tamper_specs(n)) if tamper else None
+    spec = (
+        draw(byzantine_processors(topo.names[1:], duration=None)) if tamper else None
+    )
     return Schedule(
         rates=rates,
         edges=topo.edges,
@@ -375,17 +358,23 @@ def byzantine_processors(
     draw,
     procs: Sequence[ProcessorId],
     *,
-    duration: float = 60.0,
+    duration: Optional[float] = 60.0,
 ) -> ByzantineProcessor:
-    """Seeded-simulator Byzantine injections (:mod:`repro.sim.faults`)."""
+    """Byzantine injections (:class:`~repro.sim.faults.ByzantineProcessor`).
+
+    A window inside ``[0, duration)`` for simulator fault plans; with
+    ``duration=None`` the liar lies for the whole run (schedules).
+    """
     proc = draw(st.sampled_from(list(procs)))
     modes = tuple(
         sorted(
             draw(st.sets(st.sampled_from(sorted(BYZANTINE_MODES)), min_size=1))
         )
     )
-    start = draw(st.floats(min_value=0.0, max_value=duration / 2))
-    end = start + draw(st.floats(min_value=duration / 10, max_value=duration))
+    start, end = 0.0, math.inf
+    if duration is not None:
+        start = draw(st.floats(min_value=0.0, max_value=duration / 2))
+        end = start + draw(st.floats(min_value=duration / 10, max_value=duration))
     magnitude = draw(st.floats(min_value=0.05, max_value=1.0))
     rate = draw(st.floats(min_value=0.05, max_value=0.75))
     return ByzantineProcessor(

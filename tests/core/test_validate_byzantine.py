@@ -10,7 +10,7 @@ schedules through the hardened estimator; the unit cases call
 
 import dataclasses
 
-from hypothesis import given
+from hypothesis import example, given
 
 from repro.core import (
     FAILURE_KINDS,
@@ -19,7 +19,8 @@ from repro.core import (
     SuspicionPolicy,
     validate_payload,
 )
-from repro.sim.schedule import Schedule, ScheduleHarness, TamperSpec
+from repro.sim.faults import ByzantineProcessor
+from repro.sim.schedule import Schedule, ScheduleHarness
 from repro.testing.strategies import schedules
 
 from ..conftest import make_event, recv, send
@@ -54,7 +55,7 @@ def test_equivocation_across_listeners_is_detected():
             ("send", 2, 0, 0.2),
             ("deliver", 2, 0, 0.4),
         ),
-        tamper=TamperSpec(liar=1, modes=("equivocate",), magnitude=0.5, period=1),
+        tamper=ByzantineProcessor("q1", modes=("equivocate",), magnitude=0.5),
     )
     harness = _hardened_harness(schedule)
     harness.run()
@@ -81,7 +82,7 @@ def test_truncation_surfaces_as_closure_violation_then_gap():
             ("send", 1, 0, 0.3),
             ("deliver", 1, 0, 0.2),
         ),
-        tamper=TamperSpec(liar=1, modes=("truncate",), magnitude=0.5, period=1),
+        tamper=ByzantineProcessor("q1", modes=("truncate",), rate=0.5),
     )
     harness = _hardened_harness(schedule)
     harness.run()
@@ -110,7 +111,29 @@ def _implicates_liar(failure, liar):
     return send_eid is not None and send_eid.proc == liar
 
 
+#: a liar's forged copy of its own send q1#0 travels q1 -> q0 -> q2 -> q1:
+#: the liar, holding the authentic copy, must not accuse itself
+_ECHOED_SELF = Schedule(
+    rates=(1.0, 1.0, 1.0),
+    edges=((0, 1), (0, 2), (1, 2)),
+    steps=(
+        ("send", 0, 1, 1.0),
+        ("send", 0, 1, 1.0),
+        ("send", 1, 0, 1.0),
+        ("deliver", 1, 0, 1.0),
+        ("send", 0, 1, 1.0),
+        ("send", 0, 1, 1.0),
+        ("send", 0, 2, 1.0),
+        ("deliver", 0, 2, 1.0),
+    )
+    + (("send", 0, 1, 1.0),) * 6
+    + (("send", 2, 1, 1.0), ("deliver", 2, 1, 1.0)),
+    tamper=ByzantineProcessor("q1", modes=("lie_timestamps",), magnitude=1.0),
+)
+
+
 @given(schedules(min_procs=3, max_procs=5, min_steps=10, max_steps=35, tamper=True))
+@example(_ECHOED_SELF)
 def test_combined_equivocation_and_truncation_never_misattributes(schedule):
     """Whatever a lying stream does, every ledger entry traces to the liar.
 
@@ -127,13 +150,11 @@ def test_combined_equivocation_and_truncation_never_misattributes(schedule):
     nobody self-accuses, processors the liar's data never reached stay
     spotless, and the run never crashes the hardened pipeline.
     """
-    tamper = dataclasses.replace(
-        schedule.tamper, modes=("equivocate", "truncate"), period=1
-    )
+    tamper = dataclasses.replace(schedule.tamper, modes=("equivocate", "truncate"))
     schedule = dataclasses.replace(schedule, tamper=tamper)
     harness = _hardened_harness(schedule)
     harness.run()
-    liar = harness.names[schedule.tamper.liar]
+    liar = schedule.tamper.proc
     for proc in harness.names:
         csa = harness.csas[proc]
         for failure in csa.validation_failures:

@@ -19,10 +19,16 @@ from repro.rt.transport import (
     UDPTransport,
 )
 from repro.sim.faults import (
+    BurstLoss,
+    ByzantineProcessor,
     CrashWindow,
+    DelayExcursion,
+    DriftExcursion,
     Duplication,
     FaultPlan,
+    LateJoin,
     PartitionWindow,
+    StateCorruption,
 )
 
 
@@ -191,6 +197,31 @@ class TestFaultMiddleware:
         transport, box = asyncio.run(run())
         assert box["b"] == [b"x"]
         assert (transport.dropped, transport.duplicated) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "injection",
+        [
+            DriftExcursion("b", 0.0, 1.0),
+            ByzantineProcessor("b"),
+            StateCorruption("b", at=1.0),
+            LateJoin("b", at=1.0, sponsor="a"),
+        ],
+        ids=lambda injection: type(injection).__name__,
+    )
+    def test_injections_above_the_transport_are_refused(self, injection):
+        plan = FaultPlan(seed=0, injections=(injection,))
+        with pytest.raises(SimulationError, match=type(injection).__name__):
+            self._wrap(plan)
+
+    def test_transport_level_plan_binds(self):
+        plan = FaultPlan(seed=0, injections=(
+            CrashWindow("b", 0.0, 1.0),
+            PartitionWindow("a", "b", 1.0, 2.0),
+            BurstLoss("a", "b"),
+            Duplication("a", "b"),
+            DelayExcursion("a", "b", 2.0, 3.0),
+        ))
+        assert self._wrap(plan).active.plan is plan
 
     def test_unknown_processor_in_plan_rejected(self):
         plan = FaultPlan(seed=0, injections=(CrashWindow("zz", 0.0, 1.0),))

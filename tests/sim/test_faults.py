@@ -4,11 +4,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.errors import SimulationError
+from repro.core.events import Event, EventId, EventKind
+from repro.core.history import HistoryPayload
 from repro.sim.clock import ExcursionClock, PerfectClock, PiecewiseDriftingClock
 from repro.sim.faults import (
     BurstLoss,
+    ByzantineProcessor,
     CrashWindow,
     DelayExcursion,
     DriftExcursion,
@@ -16,9 +21,11 @@ from repro.sim.faults import (
     FaultPlan,
     PartitionWindow,
     RetransmitPolicy,
+    tamper,
 )
 from repro.sim.network import topologies
 from repro.sim.runner import standard_network
+from repro.testing.strategies import byzantine_processors, events, history_payloads
 
 
 def small_network(seed=0):
@@ -253,3 +260,42 @@ class TestEchoDelay:
         for _ in range(100):
             extra = active.echo_delay(0.1)
             assert 0.01 - 1e-12 <= extra <= 0.1 + 1e-12
+
+
+_TAMPER_PROCS = ("q0", "q1", "q2", "q3")
+
+
+class TestTamper:
+    """The one liar function is pure: its output is a hash of its inputs."""
+
+    @given(
+        liar=byzantine_processors(_TAMPER_PROCS[1:3], duration=None),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        calls=st.lists(
+            st.tuples(
+                events(procs=_TAMPER_PROCS).filter(lambda event: event.is_send),
+                history_payloads(procs=_TAMPER_PROCS),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_equal_inputs_give_equal_outputs_in_any_order(self, liar, seed, calls):
+        forward = [tamper(liar, seed, send, payload) for send, payload in calls]
+        backward = [tamper(liar, seed, send, payload) for send, payload in calls[::-1]]
+        assert forward == backward[::-1]
+        for (send, payload), out in zip(calls, forward):
+            if send.proc != liar.proc:
+                assert out is payload
+
+    def test_a_re_report_repeats_the_lie_per_destination(self):
+        liar = ByzantineProcessor("q1", modes=("equivocate",), magnitude=0.5)
+        record = Event(EventId("q1", 3), 10.0, EventKind.INTERNAL)
+        own = HistoryPayload(records=(record,), loss_flags=())
+
+        def shipped(seq, dest):
+            send = Event(EventId("q1", seq), 10.0 + seq, EventKind.SEND, dest=dest)
+            return tamper(liar, 7, send, own).records[0].lt
+
+        assert shipped(4, "q2") == shipped(9, "q2") != 10.0
+        assert shipped(4, "q0") == shipped(9, "q0") != shipped(4, "q2")

@@ -92,8 +92,10 @@ def test_documented_names_exist(doc):
 
 def test_retired_names_stay_retired():
     """Retired designs stay retired: the source-only backend, the
-    estimator's insertion fork, the engine's batch-delivery branch and the
-    per-tier runtime CLIs (now ``repro-rt`` subcommands).
+    estimator's insertion fork, the engine's batch-delivery branch, the
+    per-tier runtime CLIs (now ``repro-rt`` subcommands), the schedule
+    harness's own liar model (now ``ByzantineProcessor`` plus ``tamper``)
+    and helpers nothing reached.
 
     A later change must not half-restore any: no code, example, micro
     benchmark or API doc may name them again.  docs/PERFORMANCE.md ("Tried
@@ -106,7 +108,10 @@ def test_retired_names_stay_retired():
         r"source.only|set_anchor|_replaying|_retain_log|_reported_steps|_ingest_reported"
         # bracketed so that a repository-wide grep for the names finds none
         r"|serve[_]cli|strata[.]cli|tier[_]main|_deliver[_]batch|lt[_]hint"
-        r"|_Delivery[A]ction|repro-(?:serve|strata)\b",
+        r"|_Delivery[A]ction|repro-(?:serve|strata)\b"
+        # the schedule harness's second liar model, and unreached helpers
+        r"|Tamper[S]pec|TAMPER[_]MODES|tamper[_]specs|_tamper[_]payload|_claimed[_]lt"
+        r"|_lie[_]anchor|prune[_]negative_cycles|quarantine[_]diagnostics",
         re.IGNORECASE,
     )
     root = pathlib.Path(__file__).resolve().parent.parent

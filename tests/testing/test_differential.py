@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given
 
 from repro.core import EfficientCSA
-from repro.sim.schedule import Schedule, TamperSpec
+from repro.sim.faults import ByzantineProcessor
+from repro.sim.schedule import Schedule
 from repro.testing import (
     broken_gc_factory,
     check_schedule,
@@ -178,7 +179,7 @@ def test_repro_script_executes_standalone():
 def test_tampered_schedule_round_trips_and_runs():
     schedule = dataclasses.replace(
         MUTANT_TRIGGER,
-        tamper=TamperSpec(liar=1, modes=("lie",), magnitude=0.25, period=1),
+        tamper=ByzantineProcessor("q1", modes=("lie_timestamps",), magnitude=0.25),
     )
     assert Schedule.from_json(schedule.to_json()) == schedule
     report = run_differential(schedule)

@@ -9,14 +9,14 @@ contract tests.
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.faults import FaultPlan
-from repro.sim.schedule import Schedule, TAMPER_MODES
+from repro.sim.faults import BYZANTINE_MODES, FaultPlan
+from repro.sim.schedule import Schedule
 from repro.testing.strategies import (
     Topology,
+    byzantine_processors,
     fault_plans,
     schedules,
     system_specs,
-    tamper_specs,
     topologies,
 )
 
@@ -58,8 +58,8 @@ def test_schedules_are_valid_and_round_trip(schedule):
     # Schedule.__post_init__ validated ops/indices already; check the rest
     assert schedule.rates[0] == 1.0
     assert schedule.tamper is not None
-    assert 1 <= schedule.tamper.liar < schedule.n_procs
-    assert set(schedule.tamper.modes) <= set(TAMPER_MODES)
+    assert schedule.tamper.proc in schedule.names[1:]
+    assert set(schedule.tamper.modes) <= BYZANTINE_MODES
     assert Schedule.from_json(schedule.to_json()) == schedule
 
 
@@ -70,11 +70,12 @@ def test_reliable_schedules_never_drop(schedule):
 
 
 @given(st.data())
-def test_tamper_specs_target_a_non_source_liar(data):
+def test_byzantine_processors_target_a_non_source_liar(data):
     n = data.draw(st.integers(min_value=2, max_value=6))
-    spec = data.draw(tamper_specs(n))
-    assert 1 <= spec.liar < n
-    assert spec.period >= 1 and spec.magnitude > 0
+    names = [f"q{i}" for i in range(n)]
+    spec = data.draw(byzantine_processors(names[1:], duration=None))
+    assert spec.proc in names[1:]
+    assert 0 < spec.rate <= 1 and spec.magnitude > 0
 
 
 @given(st.data())
